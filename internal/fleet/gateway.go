@@ -3,7 +3,7 @@ package fleet
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 
 	"repro/internal/obs"
 )
@@ -157,10 +157,24 @@ func (g *Gateway) Digest() string { return DigestOf(g.log) }
 // durable delivery state through this exact function, which is what
 // makes an HTTP-attached fleet's digest byte-comparable to an
 // in-process run of the same manifest.
+//
+// Each delivery renders as the line fmt's "%d %d %d %.6f %.6f\n" would
+// print, built with strconv into one reused buffer.
 func DigestOf(log []Delivery) string {
 	h := sha256.New()
+	var line []byte
 	for _, d := range log {
-		fmt.Fprintf(h, "%d %d %d %.6f %.6f\n", d.Dev, d.Seq, d.Value, d.SentMs, d.ArriveMs)
+		line = strconv.AppendInt(line[:0], int64(d.Dev), 10)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, d.Seq, 10)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, int64(d.Value), 10)
+		line = append(line, ' ')
+		line = strconv.AppendFloat(line, d.SentMs, 'f', 6, 64)
+		line = append(line, ' ')
+		line = strconv.AppendFloat(line, d.ArriveMs, 'f', 6, 64)
+		line = append(line, '\n')
+		h.Write(line)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -280,7 +280,17 @@ type Machine struct {
 	OutLog     map[int32][]int32
 	outPending []outEntry
 
-	decoded map[uint32]decodedInstr
+	// decoded is the dense decode table, indexed by PC - textBase.
+	decoded  []decodedInstr
+	textBase uint32
+	// charge and chargeMs are the per-class instruction charges and their
+	// on-time quotients (the same float64(c)/CyclesPerMs division Spend
+	// does, done once), indexed by isa.Class. They derive from Cost, which
+	// is per machine, so they live here and not in the shared Prepared.
+	charge   [numClasses]int64
+	chargeMs [numClasses]float64
+	// stackBase and stackTop bound the stack region for Push and Pop.
+	stackBase, stackTop uint32
 	// prepared is the shared image this machine forked from (nil when the
 	// machine owns a privately loaded flat memory). Reset requires it.
 	prepared *Prepared
@@ -289,10 +299,18 @@ type Machine struct {
 	rec *obs.Recorder
 }
 
+// numClasses is the number of isa cost classes.
+const numClasses = int(isa.ClassTrap) + 1
+
+// decodedInstr is one decode-table entry. Everything step needs besides
+// the machine state is resolved here once, at decode time.
 type decodedInstr struct {
-	in   isa.Instr
-	next uint32
-	fn   int // enclosing function index (-1 for the boot stub)
+	in       isa.Instr
+	next     uint32
+	fn       int       // enclosing function index (-1 for the boot stub)
+	class    isa.Class // cost class, indexing the machine's charge table
+	preStore bool      // instrumented store: Runtime.PreStore runs first
+	ok       bool      // an instruction starts at this address
 }
 
 type outEntry struct {
@@ -306,7 +324,7 @@ type outEntry struct {
 // a single one instead of re-loading and re-decoding the image per device.
 type Prepared struct {
 	Img     *link.Image
-	decoded map[uint32]decodedInstr
+	decoded []decodedInstr
 	base    *mem.Base
 }
 
@@ -365,6 +383,18 @@ func (cfg Config) normalize() (Config, error) {
 func (m *Machine) apply(cfg Config) error {
 	m.Img = cfg.Image
 	m.Cost = cfg.Cost
+	m.textBase = cfg.Image.TextBase
+	m.stackBase = cfg.Image.StackBase
+	m.stackTop = cfg.Image.StackBase + cfg.Image.StackLen
+	for c, cycles := range [numClasses]int64{
+		isa.ClassALU:  cfg.Cost.Instr,
+		isa.ClassMem:  cfg.Cost.InstrMem,
+		isa.ClassCtl:  cfg.Cost.InstrCtl,
+		isa.ClassTrap: cfg.Cost.TrapBase,
+	} {
+		m.charge[c] = cycles
+		m.chargeMs[c] = float64(cycles) / energy.CyclesPerMs
+	}
 	m.rt = cfg.Runtime
 	m.powerSrc = cfg.Power
 	m.clock = cfg.Clock
@@ -465,21 +495,49 @@ func (m *Machine) Reset(cfg Config) error {
 	return m.apply(cfg)
 }
 
-// decodeImage decodes the image's text segment into the instruction map
-// machines dispatch from.
-func decodeImage(img *link.Image) (map[uint32]decodedInstr, error) {
-	decoded := make(map[uint32]decodedInstr)
+// decodeImage decodes the image's text segment into the dense table
+// machines dispatch from: one entry per text byte, indexed by
+// PC - TextBase, with ok set only where an instruction starts.
+func decodeImage(img *link.Image) ([]decodedInstr, error) {
 	code := img.Text
+	decoded := make([]decodedInstr, len(code))
 	for off := 0; off < len(code); {
 		in, next, err := isa.Decode(code, off)
 		if err != nil {
 			return nil, err
 		}
 		addr := img.TextBase + uint32(off)
-		decoded[addr] = decodedInstr{in: in, next: img.TextBase + uint32(next), fn: fnAt(img, addr)}
+		decoded[off] = decodedInstr{
+			in:       in,
+			next:     img.TextBase + uint32(next),
+			fn:       fnAt(img, addr),
+			class:    isa.Lookup(in.Op).Class,
+			preStore: preStores(in.Op),
+			ok:       true,
+		}
 		off = next
 	}
 	return decoded, nil
+}
+
+// preStores reports whether op is an instrumented store, whose execution
+// starts with Runtime.PreStore.
+func preStores(op isa.Op) bool {
+	switch op {
+	case isa.StoreGL, isa.StoreGBL, isa.StoreIL, isa.StoreIBL, isa.Mark, isa.SetTS:
+		return true
+	}
+	return false
+}
+
+// at returns the decoded instruction starting at pc, or nil when pc is
+// not an instruction boundary: inside an instruction or outside the text.
+// Below TextBase the subtraction wraps past the table's end.
+func (m *Machine) at(pc uint32) *decodedInstr {
+	if i := pc - m.textBase; i < uint32(len(m.decoded)) && m.decoded[i].ok {
+		return &m.decoded[i]
+	}
+	return nil
 }
 
 // fnAt resolves an instruction address to its enclosing function index
@@ -584,7 +642,7 @@ func (m *Machine) resetRecStack() {
 		return
 	}
 	fn := -1
-	if d, ok := m.decoded[m.Regs.PC]; ok && d.in.Op != isa.Enter {
+	if d := m.at(m.Regs.PC); d != nil && d.in.Op != isa.Enter {
 		fn = d.fn
 	}
 	m.rec.ResetStack(fn)
@@ -663,11 +721,14 @@ func (m *Machine) NoteRestore() {
 // Spend charges cycles; it panics with the power-failure sentinel when the
 // window is exhausted, so multi-step runtime operations (checkpoint
 // copies, undo-log appends) can die halfway exactly like real FRAM writes.
-func (m *Machine) Spend(c int64) {
+func (m *Machine) Spend(c int64) { m.spend(c, float64(c)/energy.CyclesPerMs) }
+
+// spend charges c cycles lasting ms of on-time; ms must equal
+// float64(c)/energy.CyclesPerMs.
+func (m *Machine) spend(c int64, ms float64) {
 	m.remaining -= c
 	m.cycles += c
 	m.sinceCp += c
-	ms := float64(c) / energy.CyclesPerMs
 	m.onMs += ms
 	m.clock.AdvanceOn(ms)
 	if m.rec != nil {
@@ -697,8 +758,8 @@ func (m *Machine) Fault(format string, args ...any) {
 // Push pushes a word onto the machine stack.
 func (m *Machine) Push(v uint32) {
 	sp := m.Regs.SP - 4
-	if sp < m.Img.StackBase {
-		m.Fault("stack overflow: SP=%#x below stack base %#x", sp, m.Img.StackBase)
+	if sp < m.stackBase {
+		m.Fault("stack overflow: SP=%#x below stack base %#x", sp, m.stackBase)
 	}
 	m.Regs.SP = sp
 	m.Mem.WriteWord(sp, v)
@@ -706,7 +767,7 @@ func (m *Machine) Push(v uint32) {
 
 // Pop pops a word from the machine stack.
 func (m *Machine) Pop() uint32 {
-	if m.Regs.SP >= m.Img.StackBase+m.Img.StackLen {
+	if m.Regs.SP >= m.stackTop {
 		m.Fault("stack underflow: SP=%#x", m.Regs.SP)
 	}
 	v := m.Mem.ReadWord(m.Regs.SP)
@@ -850,29 +911,15 @@ func (m *Machine) runWindow(cold bool) (failed bool, fault error) {
 	return false, nil
 }
 
-func (m *Machine) chargeFor(op isa.Op) {
-	switch isa.Lookup(op).Class {
-	case isa.ClassALU:
-		m.Spend(m.Cost.Instr)
-	case isa.ClassMem:
-		m.Spend(m.Cost.InstrMem)
-	case isa.ClassCtl:
-		m.Spend(m.Cost.InstrCtl)
-	case isa.ClassTrap:
-		m.Spend(m.Cost.TrapBase)
-	}
-}
-
 func (m *Machine) step() error {
-	d, ok := m.decoded[m.Regs.PC]
-	if !ok {
-		m.Fault("PC=%#x is not an instruction boundary", m.Regs.PC)
+	d := m.at(m.Regs.PC)
+	if d == nil {
+		return fmt.Errorf("PC=%#x is not an instruction boundary", m.Regs.PC)
 	}
 	in := d.in
-	m.chargeFor(in.Op)
+	m.spend(m.charge[d.class], m.chargeMs[d.class])
 	next := d.next
-	switch in.Op {
-	case isa.StoreGL, isa.StoreGBL, isa.StoreIL, isa.StoreIBL, isa.Mark, isa.SetTS:
+	if d.preStore {
 		if err := m.rt.PreStore(m); err != nil {
 			return err
 		}
