@@ -8,7 +8,7 @@ import (
 )
 
 // Anomaly detection: a deterministic outlier pass over per-device
-// outcomes, run after the gateway post-pass. Three detectors, each aimed
+// outcomes, run once the gateway results are merged. Three detectors, each aimed
 // at a failure mode the paper (or its evaluation) names:
 //
 //   - Stragglers: devices whose consumed cycles or wall time sit k MADs
@@ -145,11 +145,11 @@ func DetectAnomalies(rep *Report, k float64) []Anomaly {
 
 	// Freshness hotspots: expired ratio per device, outliers by the same
 	// MAD rule. Only devices the gateway actually heard from participate.
-	if rep.gw != nil && rep.Gateway.Expired > 0 {
+	if rep.devStats != nil && rep.Gateway.Expired > 0 {
 		ratios := make([]float64, n)
 		uniques := make([]float64, n)
 		for i := 0; i < n; i++ {
-			st := rep.gw.DeviceStats(i)
+			st := rep.devStats[i]
 			u := st.Delivered + st.Expired
 			uniques[i] = float64(u)
 			if u > 0 {

@@ -133,7 +133,10 @@ func TestDetectFreshnessHotspot(t *testing.T) {
 			gw.Accept(Arrival{Dev: dev, Seq: seq, SentMs: 100, ArriveMs: 100 + lat})
 		}
 	}
-	rep.gw, rep.Gateway = gw, gw.Stats()
+	rep.Gateway, rep.devStats = gw.Stats(), make([]GatewayStats, 8)
+	for dev := range rep.devStats {
+		rep.devStats[dev] = gw.DeviceStats(dev)
+	}
 	as := DetectAnomalies(rep, 0)
 	var hot []int
 	for _, a := range as {
@@ -146,7 +149,7 @@ func TestDetectFreshnessHotspot(t *testing.T) {
 	}
 
 	// Without a gateway (or with zero expiries) the detector stays out.
-	rep.gw = nil
+	rep.devStats = nil
 	for _, a := range DetectAnomalies(rep, 0) {
 		if a.Kind == AnomalyFreshness {
 			t.Fatalf("freshness anomaly without gateway data: %+v", a)

@@ -154,7 +154,7 @@ func transmit(dev int, seed uint64, p LinkParams, log []vm.SendRec, tel *Telemet
 		return drop
 	}
 
-	var out []Arrival
+	out := make([]Arrival, 0, len(log))
 	var st LinkStats
 	for _, rec := range log {
 		st.Packets++

@@ -7,19 +7,25 @@
 // freshness against an @expires_after-style deadline.
 //
 // Determinism is load-bearing. Per-device seeds derive from the fleet
-// seed through a splitmix64 mixer, every device owns all of its mutable
-// state (no shared RNGs anywhere), and the channel + gateway post-pass
-// runs single-threaded over results collected by device index — so a
-// fleet's gateway log digest and merged metrics are byte-identical
-// whether it ran on 1 worker or GOMAXPROCS workers. Any single device of
-// a fleet can be exported as an internal/replay manifest and re-executed
+// seed through a splitmix64 mixer, and every device owns all of its
+// mutable state (no shared RNGs anywhere). Dedup is keyed by (device,
+// seq) and the channel RNG is seeded per device, so a device's gateway
+// verdicts depend on its own frames alone: each device's job runs the
+// device, its channel and its gateway adjudication, and writes only its
+// own result slots. The serial part of a round sums counters and sorts
+// the fleet's deliveries into gateway observation order, so a fleet's
+// delivery digest and merged metrics are byte-identical whether it ran
+// on 1 worker or GOMAXPROCS workers. Any single device of a fleet can be
+// exported as an internal/replay manifest and re-executed
 // bit-identically for debugging.
 package fleet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	tics "repro"
@@ -59,20 +65,10 @@ type Config struct {
 	FreshnessMs float64    // gateway end-to-end freshness deadline (0 = off)
 
 	// Remote streams each wave's arrivals to an out-of-process gateway
-	// (ticsgate over HTTP via internal/gate.Client) instead of running
-	// the in-process gateway pass; the report's gateway fields come from
+	// (ticsgate over HTTP via internal/gate.Client) instead of
+	// adjudicating them in process; the report's gateway fields come from
 	// Remote.Finalize. Nil = in-process gateway, the default.
 	Remote RemoteGateway
-
-	// MaxArrivals bounds the gateway arrival buffer (0 = unbounded):
-	// once that many frames have been admitted, later frames are shed at
-	// the channel exit and counted in Report.ArrivalsDropped (exported
-	// as fleet_gateway_arrivals_dropped). The cap is applied in the
-	// deterministic channel-pass order, so a capped fleet is still
-	// byte-identical across worker counts — and it applies identically
-	// to in-process and remote gateways, preserving digest parity
-	// between the two attach modes at equal caps.
-	MaxArrivals int
 
 	// Collect attaches a flight recorder to every device and folds the
 	// per-device metric registries into Report.Metrics via
@@ -81,7 +77,7 @@ type Config struct {
 
 	// Trace enables end-to-end message telemetry: a span chain per
 	// (device, committed send seq) — emit, every channel attempt, gateway
-	// verdict — collected in the deterministic post-pass and exposed as
+	// verdict — collected in each device's job and exposed as
 	// Report.Telemetry. Independent of Collect; costs nothing per device.
 	Trace bool
 
@@ -94,12 +90,13 @@ type Config struct {
 	// DefaultAnomalyK modified-z-score cut).
 	AnomalyK float64
 
-	// Wave is the number of devices simulated between streaming channel
-	// handoffs (0 = automatic). Each wave's send logs are transmitted and
-	// released before the next wave runs, and pooled machines are reset
-	// and reused across waves, so live per-device state is bounded by one
-	// wave regardless of fleet size. Every externally visible result is
-	// byte-identical for any Wave value.
+	// Wave is the number of devices simulated between merges of their
+	// results (0 = automatic). Each device's send log and arrivals are
+	// released inside its own job, pooled machines are reset and reused
+	// across waves, and with a remote gateway each wave's arrivals ship
+	// out before the next wave runs, so live per-device state is bounded
+	// by one wave regardless of fleet size. Every externally visible
+	// result is byte-identical for any Wave value.
 	Wave int
 	// DisablePool builds a fresh machine for every device instead of
 	// resetting pooled ones — the escape hatch the pooled-reuse
@@ -163,8 +160,8 @@ func (c Config) clock() string {
 }
 
 // DeviceOutcome is one device's run, collected by index. Res.SendLog is
-// consumed by the streaming channel pass and freed as the device's wave
-// completes; Sends keeps the raw-radio packet count it had.
+// consumed by the device's channel pass and freed in the device's job;
+// Sends keeps the raw-radio packet count it had.
 type DeviceOutcome struct {
 	ID    int
 	Seed  uint64
@@ -185,10 +182,11 @@ type Report struct {
 	Elapsed float64 `json:"elapsed_sec"` // host wall time of the device phase
 
 	// Phases partitions the round's host wall time: image build, device
-	// execution, channel pass, gateway pass, telemetry render — always
-	// all five, always in that order (worker-count independent
-	// structure; only the durations vary). WallSeconds is the round
-	// total the partition reconciles against.
+	// jobs (execution, channel, adjudication), per-wave merge, delivery
+	// sort and digest, telemetry render — always all five, always in
+	// that order (worker-count independent structure; only the
+	// durations vary). WallSeconds is the round total the partition
+	// reconciles against.
 	Phases      []PhaseTime `json:"phases"`
 	WallSeconds float64     `json:"wall_seconds"`
 
@@ -208,15 +206,10 @@ type Report struct {
 	UniqueSends int64 `json:"unique_sends"` // distinct (device, seq) packets
 	Link        LinkStats
 	Gateway     GatewayStats
-	// ArrivalsDropped counts frames shed at the channel exit because the
-	// arrival buffer hit Config.MaxArrivals — load shedding, distinct
-	// from channel loss (the frame survived the radio but the gateway
-	// buffer was full).
-	ArrivalsDropped int64   `json:"arrivals_dropped,omitempty"`
-	Lost            int64   `json:"lost"` // unique packets that never reached the gateway
-	LatencyP50      float64 `json:"latency_p50_ms"`
-	LatencyP99      float64 `json:"latency_p99_ms"`
-	Digest          string  `json:"digest"` // gateway log digest (determinism witness)
+	Lost        int64   `json:"lost"` // unique packets that never reached the gateway
+	LatencyP50  float64 `json:"latency_p50_ms"`
+	LatencyP99  float64 `json:"latency_p99_ms"`
+	Digest      string  `json:"digest"` // gateway log digest (determinism witness)
 
 	// Anomalies is the deterministic outlier pass over per-device
 	// outcomes: stragglers, livelock suspects, freshness hotspots.
@@ -233,27 +226,32 @@ type Report struct {
 	// (Profile only) — one flame graph over the whole deployment.
 	Profile *obs.Profile `json:"-"`
 
-	Outcomes   []DeviceOutcome `json:"-"`
-	gw         *Gateway
+	Outcomes []DeviceOutcome `json:"-"`
+	// The in-process gateway's results (all nil with a remote gateway,
+	// or for a Report decoded from JSON): the deliveries in observation
+	// order, each device's gateway counters, and the end-to-end latency
+	// histogram.
+	log        []Delivery
+	devStats   []GatewayStats
+	lat        *obs.Histogram
 	registries []*obs.Registry
 }
 
 // GatewayLog returns the accepted deliveries in observation order (nil
-// for a Report without a live gateway, e.g. one decoded from JSON).
-func (r *Report) GatewayLog() []Delivery {
-	if r.gw == nil {
-		return nil
-	}
-	return r.gw.Log()
-}
+// for a Report without an in-process gateway, e.g. one decoded from
+// JSON).
+func (r *Report) GatewayLog() []Delivery { return r.log }
 
-// DeviceLog returns the deliveries the gateway attributed to device dev
-// (nil for a Report without a live gateway).
+// DeviceLog returns the deliveries the gateway attributed to device dev,
+// in observation order (nil for a Report without an in-process gateway).
 func (r *Report) DeviceLog(dev int) []Delivery {
-	if r.gw == nil {
-		return nil
+	var out []Delivery
+	for _, d := range r.log {
+		if d.Dev == dev {
+			out = append(out, d)
+		}
 	}
-	return r.gw.DeviceLog(dev)
+	return out
 }
 
 // DeviceRegistry returns device dev's own metrics registry (nil unless
@@ -265,9 +263,9 @@ func (r *Report) DeviceRegistry(dev int) *obs.Registry {
 	return r.registries[dev]
 }
 
-// waveSize returns the number of devices simulated between streaming
-// channel handoffs: small enough to bound the live send logs, large
-// enough that the per-wave pool barrier is noise against device runtime.
+// waveSize returns the number of devices simulated between merges:
+// small enough to bound the live per-device results, large enough that
+// the per-wave pool barrier is noise against device runtime.
 func (c Config) waveSize(workers int) int {
 	if c.Wave > 0 {
 		return c.Wave
@@ -294,14 +292,26 @@ func uniqueSends(log []vm.SendRec) int64 {
 	return u
 }
 
-// Run simulates the fleet wave by wave: each wave's devices execute in
+// deviceRound is what one device's job hands the per-wave merge.
+type deviceRound struct {
+	link     LinkStats
+	log      []Delivery // in-process gateway: the device's deliveries, in seq order
+	arrivals []Arrival  // remote gateway: the device's frames, in transmission order
+}
+
+// Run simulates the fleet wave by wave. Each wave's devices run in
 // parallel on the worker pool — machines drawn from a small reuse pool
-// and reset between devices — and the wave's send logs stream straight
-// into the deterministic single-threaded channel pass (and are released)
-// before the next wave starts. The gateway, telemetry and merge passes
-// then run once over all collected arrivals, so every externally visible
-// result stays byte-identical across worker counts, wave sizes, and
-// pooled-versus-fresh machines.
+// and reset between devices — and each device's job also pushes its
+// send log through its channel and, in-process, adjudicates its own
+// frames (dedup and freshness are per (device, seq), so no other
+// device's frames can change its verdicts). The jobs keep only the
+// deliveries; the serial merge sums counters, and after the last wave
+// the deliveries are sorted into gateway observation order for the
+// latency histogram and the digest. So every externally visible result
+// stays byte-identical across worker counts, wave sizes, and pooled
+// versus fresh machines. With Config.Remote the jobs keep their frames
+// instead, and each wave ships them to the remote gateway in device
+// order.
 func Run(cfg Config) (*Report, error) {
 	n := cfg.Devices
 	if n <= 0 {
@@ -330,6 +340,10 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Profile {
 		profiles = make([]obs.Profile, n)
 	}
+	var devStats []GatewayStats
+	if cfg.Remote == nil {
+		devStats = make([]GatewayStats, n)
+	}
 
 	// The machine pool holds one slot per worker; nil slots materialize
 	// lazily into machines on first claim and are reset between devices.
@@ -346,21 +360,19 @@ func Run(cfg Config) (*Report, error) {
 		Workers:    workers,
 		Seed:       cfg.Seed,
 		Outcomes:   outcomes,
+		devStats:   devStats,
 		registries: registries,
 	}
 	var tel *Telemetry
 	if cfg.Trace {
 		tel = NewTelemetry(n, cfg.FreshnessMs)
 	}
-	var arrivals []Arrival
-	var admitted int64 // arrivals admitted against cfg.MaxArrivals (both attach modes)
+	var deliveries []Delivery
 	var elapsed float64
 	wave := cfg.waveSize(workers)
+	rounds := make([]deviceRound, min(wave, n))
 	for lo := 0; lo < n; lo += wave {
-		hi := lo + wave
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+wave, n)
 		pc.enter(PhaseDevices)
 		start := time.Now()
 		ParallelFor(hi-lo, workers, func(k int) {
@@ -373,49 +385,45 @@ func Run(cfg Config) (*Report, error) {
 			if pool != nil {
 				pool <- m
 			}
+			out := &outcomes[i]
+			if out.Err != nil {
+				return
+			}
+			log := out.Res.SendLog
+			out.Sends = len(log)
+			out.UniqueSends = int(uniqueSends(log))
+			arr, link := transmit(i, out.Seed, cfg.Link, log, tel)
+			out.Res.SendLog = nil
+			r := deviceRound{link: link}
+			if cfg.Remote != nil {
+				r.arrivals = arr
+			} else {
+				devStats[i], r.log = adjudicate(arr, cfg.FreshnessMs, tel)
+			}
+			tel.closeChains(i)
+			rounds[k] = r
 		})
 		elapsed += time.Since(start).Seconds()
-		for i := lo; i < hi; i++ {
-			if outcomes[i].Err != nil {
-				return nil, fmt.Errorf("fleet: device %d: %w", i, outcomes[i].Err)
-			}
-		}
 
-		// Streaming handoff: this wave's send logs feed the channel pass
-		// in device order — the same total order as one big post-pass —
-		// and are dropped before the next wave materializes its own. The
-		// channel phase accumulates across re-entries. With a remote
-		// gateway the wave's arrivals ship out (and are released) here
-		// too, so the in-flight arrival buffer is one wave deep.
+		// The merge visits devices in index order and each round's slot
+		// is released as it is read, so only one wave's results are live.
 		pc.enter(PhaseChannel)
 		var waveArr []Arrival
-		for i := lo; i < hi; i++ {
-			log := outcomes[i].Res.SendLog
-			outcomes[i].Sends = len(log)
-			outcomes[i].UniqueSends = int(uniqueSends(log))
-			rep.Sends += int64(len(log))
+		for k := range rounds[:hi-lo] {
+			i := lo + k
+			if err := outcomes[i].Err; err != nil {
+				return nil, fmt.Errorf("fleet: device %d: %w", i, err)
+			}
+			r := &rounds[k]
+			rep.Sends += int64(outcomes[i].Sends)
 			rep.UniqueSends += int64(outcomes[i].UniqueSends)
-			devArr, st := transmit(i, DeviceSeed(cfg.Seed, i), cfg.Link, log, tel)
-			rep.Link.add(st)
-			// Arrival-buffer bound: admit frames in channel-pass order up
-			// to the cap, shed (and count) the rest. PR8 bounded the send
-			// logs; this bounds the only other buffer that scales with
-			// total fleet traffic.
-			if cfg.MaxArrivals > 0 && admitted+int64(len(devArr)) > int64(cfg.MaxArrivals) {
-				keep := int64(cfg.MaxArrivals) - admitted
-				if keep < 0 {
-					keep = 0
-				}
-				rep.ArrivalsDropped += int64(len(devArr)) - keep
-				devArr = devArr[:keep]
+			rep.Link.add(r.link)
+			if devStats != nil {
+				rep.Gateway.add(devStats[i])
 			}
-			admitted += int64(len(devArr))
-			if cfg.Remote != nil {
-				waveArr = append(waveArr, devArr...)
-			} else {
-				arrivals = append(arrivals, devArr...)
-			}
-			outcomes[i].Res.SendLog = nil
+			deliveries = append(deliveries, r.log...)
+			waveArr = append(waveArr, r.arrivals...)
+			*r = deviceRound{}
 		}
 		if cfg.Remote != nil {
 			// The gateway phase accumulates the wire time of each wave's
@@ -445,42 +453,37 @@ func Run(cfg Config) (*Report, error) {
 		rep.Throughput = float64(rep.TotalCycles) / elapsed
 	}
 
-	// Deterministic post-pass. In-process: the gateway consumes the
-	// globally sorted arrival order, so neither the digest nor any span
-	// chain can depend on how the pool scheduled the device waves.
-	// Remote: the waves already streamed out; Finalize fetches the
-	// service's accounting, which is order-independent by construction
-	// (internal/gate retains the ArrivalBefore-minimal arrival per
-	// (device, seq)) and therefore equal to the in-process result.
-	var gw *Gateway
+	// In-process: the per-device verdicts are final; what remains is the
+	// observation order, in which the latency histogram's float Sum must
+	// accumulate to stay bit-identical. Remote: the waves already
+	// streamed out; Finalize fetches the service's accounting, which is
+	// order-independent by construction (internal/gate keeps the
+	// ArrivalBefore-minimal arrival per (device, seq)) and therefore
+	// equal to the in-process result.
 	pc.enter(PhaseGateway)
 	if cfg.Remote != nil {
 		sum, err := cfg.Remote.Finalize()
 		if err != nil {
 			return nil, fmt.Errorf("fleet: remote gateway finalize: %w", err)
 		}
-		pc.enter(PhaseTelemetry)
-		tel.finalizeRemote()
 		rep.Gateway = sum.Stats
 		rep.Lost = rep.UniqueSends - sum.Unique
 		rep.LatencyP50 = sum.P50Ms
 		rep.LatencyP99 = sum.P99Ms
 		rep.Digest = sum.Digest
 	} else {
-		gw = NewGateway(cfg.FreshnessMs)
-		SortArrivals(arrivals)
-		for _, a := range arrivals {
-			tel.onVerdict(a, gw.Accept(a))
+		sortDeliveries(deliveries)
+		lat := obs.NewHistogram(LatencyBounds)
+		for i := range deliveries {
+			lat.Observe(deliveries[i].ArriveMs - deliveries[i].SentMs)
 		}
-		pc.enter(PhaseTelemetry)
-		tel.finalize()
-		rep.gw = gw
-		rep.Gateway = gw.Stats()
-		rep.Lost = rep.UniqueSends - int64(gw.Unique())
-		rep.LatencyP50 = gw.LatencyQuantile(0.50)
-		rep.LatencyP99 = gw.LatencyQuantile(0.99)
-		rep.Digest = gw.Digest()
+		rep.log, rep.lat = deliveries, lat
+		rep.Lost = rep.UniqueSends - (rep.Gateway.Delivered + rep.Gateway.Expired)
+		rep.LatencyP50 = lat.Quantile(0.50)
+		rep.LatencyP99 = lat.Quantile(0.99)
+		rep.Digest = DigestOf(deliveries)
 	}
+	pc.enter(PhaseTelemetry)
 	rep.Telemetry = tel
 	rep.Anomalies = DetectAnomalies(rep, cfg.AnomalyK)
 
@@ -501,18 +504,15 @@ func Run(cfg Config) (*Report, error) {
 		merged.Add("fleet_gateway_duplicates", rep.Gateway.Duplicates)
 		merged.Add("fleet_gateway_expired", rep.Gateway.Expired)
 		merged.Add("fleet_packets_lost", rep.Lost)
-		// Always-present (like trace_events_dropped): a zero sample is
-		// the evidence load shedding did NOT happen.
-		merged.Add("fleet_gateway_arrivals_dropped", rep.ArrivalsDropped)
 		// The gateway's latency histogram lands in the rollup under the
 		// same bounds it was observed with, so a Prometheus
 		// histogram_quantile over the exported buckets agrees with
 		// Report.LatencyP50/P99 (both are obs.Histogram.Quantile). A
 		// remote-attached fleet has no local histogram — its latency
 		// surface is the service's own /metrics.
-		if gw != nil {
+		if rep.lat != nil {
 			if err := merged.RegisterHistogram("fleet_gateway_latency_ms", LatencyBounds).
-				Merge(gw.LatencyHistogram()); err != nil {
+				Merge(rep.lat); err != nil {
 				return nil, fmt.Errorf("fleet: latency rollup: %w", err)
 			}
 		}
@@ -529,6 +529,23 @@ func Run(cfg Config) (*Report, error) {
 	rep.Phases, rep.WallSeconds = pc.finish()
 	rep.Resources = obs.SampleResources()
 	return rep, nil
+}
+
+// sortDeliveries puts a fleet's deliveries in gateway observation
+// order. There is one delivery per (device, seq), and on distinct
+// (device, seq) ArrivalBefore reduces to (ArriveMs, Dev, Seq), so the
+// result is exactly the log a single Gateway fed SortArrivals order
+// keeps.
+func sortDeliveries(log []Delivery) {
+	slices.SortFunc(log, func(a, b Delivery) int {
+		if c := cmp.Compare(a.ArriveMs, b.ArriveMs); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.Dev, b.Dev); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Seq, b.Seq)
+	})
 }
 
 // runDevice executes one device with fully private run state: its own

@@ -75,6 +75,13 @@ type GatewayStats struct {
 	Expired    int64 `json:"expired"`    // unique packets past the freshness deadline
 }
 
+func (s *GatewayStats) add(o GatewayStats) {
+	s.Arrivals += o.Arrivals
+	s.Delivered += o.Delivered
+	s.Duplicates += o.Duplicates
+	s.Expired += o.Expired
+}
+
 // NewGateway builds an empty gateway with the given freshness deadline
 // (0 = no deadline).
 func NewGateway(freshnessMs float64) *Gateway {
@@ -104,7 +111,7 @@ func (g *Gateway) Accept(a Arrival) Verdict {
 		return VerdictDuplicate
 	}
 	g.seen[k] = struct{}{}
-	if g.FreshnessMs > 0 && a.ArriveMs-a.SentMs > g.FreshnessMs {
+	if Expired(a.SentMs, a.ArriveMs, g.FreshnessMs) {
 		g.stats.Expired++
 		dst.Expired++
 		return VerdictExpired
@@ -114,6 +121,69 @@ func (g *Gateway) Accept(a Arrival) Verdict {
 	g.log = append(g.log, Delivery{Dev: a.Dev, Seq: a.Seq, Value: a.Value, SentMs: a.SentMs, ArriveMs: a.ArriveMs})
 	g.lat.Observe(a.ArriveMs - a.SentMs)
 	return VerdictDelivered
+}
+
+// Expired is the gateway's one freshness rule: a packet sent at sentMs
+// whose first arrival lands at arriveMs is expired when a deadline
+// freshMs is set (> 0) and the packet took longer than it. Gateway,
+// the per-device adjudicator and internal/gate all judge through it.
+func Expired(sentMs, arriveMs, freshMs float64) bool {
+	return freshMs > 0 && arriveMs-sentMs > freshMs
+}
+
+// adjudicate applies the gateway's verdict rule to one device's
+// arrivals, in any order: per seq it keeps the ArrivalBefore-minimal
+// frame — the one Gateway.Accept sees first in SortArrivals order —
+// judges freshness on it, and counts every other frame of that seq as a
+// duplicate. Committed seqs are contiguous from 0, so the winners live
+// in a dense slice indexed by seq. It returns the device's counters and
+// its deliveries in seq order, and records every frame's verdict on tel
+// (nil = untraced). Dedup is keyed by (device, seq), so adjudicating
+// each device alone gives the verdicts of one fleet-wide gateway.
+func adjudicate(arr []Arrival, freshMs float64, tel *Telemetry) (GatewayStats, []Delivery) {
+	st := GatewayStats{Arrivals: int64(len(arr))}
+	if len(arr) == 0 {
+		return st, nil
+	}
+	var seqs int64
+	for i := range arr {
+		if arr[i].Seq >= seqs {
+			seqs = arr[i].Seq + 1
+		}
+	}
+	// win[seq] is 1 + the index of the seq's winning frame, 0 when none
+	// arrived. On a full ArrivalBefore tie the earlier frame stays.
+	win := make([]int32, seqs)
+	for k := range arr {
+		w := &win[arr[k].Seq]
+		if *w == 0 || ArrivalBefore(arr[k], arr[*w-1]) {
+			*w = int32(k + 1)
+		}
+	}
+	log := make([]Delivery, 0, seqs)
+	for _, w := range win {
+		if w == 0 {
+			continue
+		}
+		a := &arr[w-1]
+		if Expired(a.SentMs, a.ArriveMs, freshMs) {
+			st.Expired++
+			tel.onVerdict(*a, VerdictExpired)
+			continue
+		}
+		st.Delivered++
+		log = append(log, Delivery{Dev: a.Dev, Seq: a.Seq, Value: a.Value, SentMs: a.SentMs, ArriveMs: a.ArriveMs})
+		tel.onVerdict(*a, VerdictDelivered)
+	}
+	st.Duplicates = st.Arrivals - st.Delivered - st.Expired
+	if tel != nil {
+		for k := range arr {
+			if win[arr[k].Seq] != int32(k+1) {
+				tel.onVerdict(arr[k], VerdictDuplicate)
+			}
+		}
+	}
+	return st, log
 }
 
 // Stats returns the gateway counters.

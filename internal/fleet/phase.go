@@ -14,10 +14,10 @@ import (
 // a dashboard diff rounds and a bench sweep diff hosts.
 const (
 	PhaseBuild     = "build"     // shared image compile+link
-	PhaseDevices   = "devices"   // parallel device execution
-	PhaseChannel   = "channel"   // per-device lossy-channel pass
-	PhaseGateway   = "gateway"   // arrival sort + dedup/freshness pass
-	PhaseTelemetry = "telemetry" // span finalize, anomalies, metric merges
+	PhaseDevices   = "devices"   // parallel device jobs: execution, channel, adjudication
+	PhaseChannel   = "channel"   // per-wave merge of the jobs' counters and deliveries
+	PhaseGateway   = "gateway"   // delivery sort + latency histogram + digest (or remote ingest)
+	PhaseTelemetry = "telemetry" // anomalies, metric merges
 )
 
 // PhaseNames lists the round phases in order.

@@ -5,15 +5,15 @@ package fleet
 // service (internal/gate) in production, a fake in tests. The contract
 // mirrors the in-process pipeline exactly:
 //
-//   - IngestWave receives each wave's post-channel arrivals, in the
-//     deterministic device-index/transmission order the channel pass
-//     produces them. The implementation owns delivery semantics — it
+//   - IngestWave receives each wave's post-channel arrivals in a
+//     deterministic order: by device index, and each device's frames in
+//     transmission order. The implementation owns delivery semantics — it
 //     must absorb retries idempotently, because the fleet will re-send
 //     a wave after any transient transport failure.
 //   - Finalize is called once, after the last wave, and returns the
 //     gateway-side accounting for the report. For a gateway whose state
 //     holds exactly this fleet's traffic, the summary (digest included)
-//     must be byte-identical to what the in-process Gateway would have
+//     must be byte-identical to what the in-process gateway would have
 //     produced from the same arrivals — internal/gate's store is built
 //     around that equivalence and TestRemoteDigestMatchesInProcess
 //     holds it to the letter.

@@ -18,10 +18,12 @@ import (
 // draws, never perturbing them), and the gateway verdict (delivered /
 // expired / lost, with end-to-end latency and the freshness budget left).
 //
-// Collection happens entirely in the fleet's single-threaded post-pass,
-// in device-index order, so traces inherit the fleet's worker-count
-// independence: the rendered trace of any message is byte-identical
-// whether the fleet ran on 1 worker or 16.
+// Collection happens inside each device's job of the fleet's parallel
+// pool: the job transmits and adjudicates that device's frames and
+// writes only that device's slot, and every span is a function of the
+// device's own seeded channel draws. So traces inherit the fleet's
+// worker-count independence: the rendered trace of any message is
+// byte-identical whether the fleet ran on 1 worker or 16.
 type Telemetry struct {
 	freshnessMs float64
 	byDev       []map[int64]*MessageTrace
@@ -146,9 +148,9 @@ func (t *Telemetry) markAckLost(dev int, seq int64, idx int) {
 	t.trace(dev, seq).Attempts[idx].AckLost = true
 }
 
-// onVerdict records what the gateway did with one arrival. The first
-// non-duplicate arrival fixes the message outcome; duplicates only bump
-// the drop counter.
+// onVerdict records what the gateway did with one arrival. The winning
+// (delivered or expired) arrival fixes the message outcome; duplicates
+// only bump the drop counter.
 func (t *Telemetry) onVerdict(a Arrival, v Verdict) {
 	if t == nil {
 		return
@@ -171,39 +173,24 @@ func (t *Telemetry) onVerdict(a Arrival, v Verdict) {
 	}
 }
 
-// finalize closes every chain: a message with no gateway verdict lost
-// every attempt in the channel.
-func (t *Telemetry) finalize() {
+// closeChains ends device dev's chains that got no gateway verdict. A
+// chain none of whose frames survived the channel is lost. One whose
+// frames reached the wire but got no verdict went to a remote gateway
+// (Config.Remote), which adjudicates in the service; in-process, every
+// frame that arrived has a verdict, so only lost chains remain open.
+func (t *Telemetry) closeChains(dev int) {
 	if t == nil {
 		return
 	}
-	for _, m := range t.byDev {
-		for _, tr := range m {
-			if tr.Verdict.Outcome == "" {
-				tr.Verdict.Outcome = OutcomeLost
-			}
+	for _, tr := range t.byDev[dev] {
+		if tr.Verdict.Outcome != "" {
+			continue
 		}
-	}
-}
-
-// finalizeRemote closes every chain for a fleet attached to a remote
-// gateway: a message none of whose attempts arrived is lost; anything
-// that reached the wire is adjudicated in the service (OutcomeRemote).
-func (t *Telemetry) finalizeRemote() {
-	if t == nil {
-		return
-	}
-	for _, m := range t.byDev {
-		for _, tr := range m {
-			if tr.Verdict.Outcome != "" {
-				continue
-			}
-			tr.Verdict.Outcome = OutcomeLost
-			for _, at := range tr.Attempts {
-				if !at.Lost {
-					tr.Verdict.Outcome = OutcomeRemote
-					break
-				}
+		tr.Verdict.Outcome = OutcomeLost
+		for _, at := range tr.Attempts {
+			if !at.Lost {
+				tr.Verdict.Outcome = OutcomeRemote
+				break
 			}
 		}
 	}

@@ -274,5 +274,5 @@ func TestTelemetryQueries(t *testing.T) {
 		t.Fatal("nil telemetry not inert")
 	}
 	nilTel.onVerdict(Arrival{}, VerdictDelivered) // must not panic
-	nilTel.finalize()
+	nilTel.closeChains(0)
 }

@@ -68,7 +68,7 @@ func (c *Client) httpClient() *http.Client {
 }
 
 // IngestWave ships one wave of arrivals as the next batch. Called from
-// the fleet's deterministic channel pass, in wave order.
+// fleet.Run's serial per-wave merge, in wave order.
 func (c *Client) IngestWave(arrivals []fleet.Arrival) error {
 	c.batch++
 	frames := make([]Frame, len(arrivals))

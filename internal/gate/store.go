@@ -39,11 +39,9 @@ func (f Frame) arrival() fleet.Arrival {
 	}
 }
 
-// expired reports whether the frame's own freshness budget was blown.
-// Identical predicate to fleet.Gateway.Accept's deadline check.
-func (f Frame) expired() bool {
-	return f.FreshMs > 0 && f.ArriveMs-f.SentMs > f.FreshMs
-}
+// expired reports whether the frame's own freshness budget was blown,
+// by the fleet gateway's one freshness rule.
+func (f Frame) expired() bool { return fleet.Expired(f.SentMs, f.ArriveMs, f.FreshMs) }
 
 // FrameFromArrival wraps a fleet arrival for the wire.
 func FrameFromArrival(a fleet.Arrival, freshMs float64) Frame {
