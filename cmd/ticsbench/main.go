@@ -48,7 +48,7 @@ func main() {
 		sweepWall = flag.Float64("sweep-wall", 100, "per-device simulated wall budget in ms for -sweep")
 
 		compare    = flag.Bool("compare", false, "compare two ledgers: ticsbench -compare old.json new.json")
-		tolerance  = flag.Float64("tolerance", 0, "relative slack for -compare (0 = default 0.25)")
+		tolerance  = flag.Float64("tolerance", 0, "relative slack for -compare (0 = default 0.25; telemetry overhead gets 100x this in points)")
 		reportOnly = flag.Bool("report-only", false, "with -compare: print regressions but exit 0")
 
 		validate = flag.String("validate", "", "validate a ledger file against the schema and exit")

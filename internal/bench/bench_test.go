@@ -200,6 +200,31 @@ func TestCompareGatesBytesPerDevice(t *testing.T) {
 	}
 }
 
+// TestCompareGatesTelemetryOverhead: the overhead percentage gates on
+// points, not on a relative change — 10% → 30% passes the default 25
+// points, 10% → 40% does not — and entries without a telemetry pair on
+// either side are skipped.
+func TestCompareGatesTelemetryOverhead(t *testing.T) {
+	old, new := twoLedgers()
+	new.Fleet["n=1000"].Telemetry.OverheadPct = 30
+	if regs := Compare(old, new, 0, nil); len(regs) != 0 {
+		t.Fatalf("20-point rise flagged at 25-point tolerance: %v", regs)
+	}
+	new.Fleet["n=1000"].Telemetry.OverheadPct = 40
+	regs := Compare(old, new, 0, nil)
+	if len(regs) != 1 || regs[0].Key != "n=1000" || regs[0].Metric != "telemetry.overhead_pct" || regs[0].DeltaPct != 30 {
+		t.Fatalf("regs %v, want one 30-point telemetry.overhead_pct regression", regs)
+	}
+	if regs := Compare(old, new, 0.35, nil); len(regs) != 0 {
+		t.Fatalf("35-point tolerance still flagged %v", regs)
+	}
+	new.Fleet["n=10000"].Telemetry.OverheadPct = -5 // improvement
+	new.Fleet["n=1000"].Telemetry = nil             // unmeasured on one side
+	if regs := Compare(old, new, 0, nil); len(regs) != 0 {
+		t.Fatalf("improvement or missing pair flagged %v", regs)
+	}
+}
+
 func TestCompareSkipsMismatchedHosts(t *testing.T) {
 	old, new := twoLedgers()
 	new.Fleet["n=1000"].Best.DevicesPerSec = 1 // would be a huge regression

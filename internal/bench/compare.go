@@ -15,20 +15,28 @@ const DefaultTolerance = 0.25
 // Regression is one gated metric that moved past tolerance in the bad
 // direction.
 type Regression struct {
-	Key      string  `json:"key"`    // "n=1000", "opcode/Add", ...
-	Metric   string  `json:"metric"` // "devices_per_sec", "peak_rss_bytes", "ns_per_instr"
-	Old      float64 `json:"old"`
-	New      float64 `json:"new"`
-	DeltaPct float64 `json:"delta_pct"` // signed; positive = worse
+	Key    string  `json:"key"`    // "n=1000", "opcode/Add", ...
+	Metric string  `json:"metric"` // "devices_per_sec", "peak_rss_bytes", "ns_per_instr", "telemetry.overhead_pct"
+	Old    float64 `json:"old"`
+	New    float64 `json:"new"`
+	// DeltaPct is signed, positive = worse: a relative change in percent,
+	// except for telemetry.overhead_pct, where it is the rise in points.
+	DeltaPct float64 `json:"delta_pct"`
 }
 
 func (r Regression) String() string {
-	return fmt.Sprintf("%s %s: %.4g -> %.4g (%+.1f%%, worse)", r.Key, r.Metric, r.Old, r.New, r.DeltaPct)
+	unit := "%"
+	if r.Metric == "telemetry.overhead_pct" {
+		unit = " points"
+	}
+	return fmt.Sprintf("%s %s: %.4g -> %.4g (%+.1f%s, worse)", r.Key, r.Metric, r.Old, r.New, r.DeltaPct, unit)
 }
 
 // Compare gates new against old: for every fleet key both ledgers
 // carry, devices/sec must not drop and peak RSS must not rise by more
-// than tolerance; for every shared opcode, ns/instr must not rise.
+// than tolerance, and the telemetry overhead (already a percentage) must
+// not rise by more than 100·tolerance points; for every shared opcode,
+// ns/instr must not rise.
 // Keys only one side has are skipped — adding a new sweep point is not
 // a regression. A zero tolerance means DefaultTolerance; hosts with
 // different CPU counts are never compared (one warning Regression-free
@@ -82,6 +90,16 @@ func Compare(old, new *File, tolerance float64, warnings io.Writer) []Regression
 				Key: key, Metric: "peak_rss_bytes",
 				Old: float64(oe.PeakRSSBytes), New: float64(ne.PeakRSSBytes),
 				DeltaPct: 100 * (float64(ne.PeakRSSBytes) - float64(oe.PeakRSSBytes)) / float64(oe.PeakRSSBytes),
+			})
+		}
+		// Higher telemetry overhead is worse. It is a percentage near
+		// zero, so a relative bound would flag noise; it gates on points.
+		if oe.Telemetry != nil && ne.Telemetry != nil &&
+			ne.Telemetry.OverheadPct > oe.Telemetry.OverheadPct+100*tolerance {
+			regs = append(regs, Regression{
+				Key: key, Metric: "telemetry.overhead_pct",
+				Old: oe.Telemetry.OverheadPct, New: ne.Telemetry.OverheadPct,
+				DeltaPct: ne.Telemetry.OverheadPct - oe.Telemetry.OverheadPct,
 			})
 		}
 	}

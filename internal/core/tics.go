@@ -146,6 +146,10 @@ type TICS struct {
 	skipUndoAt int
 
 	reg *obs.Registry
+	// Cached cells of the counters bumped per store, checkpoint and
+	// restore.
+	nStoresDirect, nStoresBlockHit, nStoresLogged obs.LazyCounter
+	nCheckpoints, nRestores                       obs.LazyCounter
 }
 
 // InjectUndoSkip arms a fault-injection hook for tests: the n-th
@@ -305,7 +309,7 @@ func (t *TICS) restore(m *vm.Machine) error {
 	}
 	m.CpDisable = int(m.Mem.ReadWord(slot + 16))
 	m.NoteRestore()
-	t.reg.Inc("restores")
+	t.nRestores.Inc(t.reg, "restores")
 	return nil
 }
 
@@ -410,7 +414,7 @@ func (t *TICS) Checkpoint(m *vm.Machine, kind vm.CpKind) error {
 	t.resetLogged()
 	m.PopCat()
 	m.NoteCheckpoint(kind)
-	t.reg.Inc("checkpoints")
+	t.nCheckpoints.Inc(t.reg, "checkpoints")
 	return nil
 }
 
@@ -439,7 +443,7 @@ func (t *TICS) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) e
 	m.Spend(m.Cost.PtrCheck)
 	if t.inWorking(addr, size) {
 		m.RawStore(addr, size, value)
-		t.reg.Inc("stores-direct")
+		t.nStoresDirect.Inc(t.reg, "stores-direct")
 		return nil
 	}
 	if t.blockBytes > 4 {
@@ -448,7 +452,7 @@ func (t *TICS) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) e
 		block := addr &^ uint32(t.blockBytes-1)
 		if t.loggedBlocks[block] {
 			m.RawStore(addr, size, value)
-			t.reg.Inc("stores-block-hit")
+			t.nStoresBlockHit.Inc(t.reg, "stores-block-hit")
 			return nil
 		}
 		if t.undoLen >= t.undoCap {
@@ -477,7 +481,7 @@ func (t *TICS) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) e
 		m.PopCat()
 		t.loggedBlocks[block] = true
 		m.RawStore(addr, size, value)
-		t.reg.Inc("stores-logged")
+		t.nStoresLogged.Inc(t.reg, "stores-logged")
 		return nil
 	}
 	if t.undoLen >= t.undoCap {
@@ -508,7 +512,7 @@ func (t *TICS) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) e
 	m.Mem.WriteWord(t.addrUndoHdr, (t.epoch&0xFFFF)<<16|uint32(t.undoLen))
 	m.PopCat()
 	m.RawStore(addr, size, value)
-	t.reg.Inc("stores-logged")
+	t.nStoresLogged.Inc(t.reg, "stores-logged")
 	return nil
 }
 

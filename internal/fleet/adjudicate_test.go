@@ -26,7 +26,7 @@ func gatewayReference(t *testing.T, cfg Config) (*Gateway, int64, *Telemetry) {
 	var arrivals []Arrival
 	var unique int64
 	for i := 0; i < cfg.Devices; i++ {
-		out, _ := runDevice(img, cfg, i, nil, nil, nil)
+		out, _ := runDevice(img, cfg, i, nil, nil)
 		if out.Err != nil {
 			t.Fatal(out.Err)
 		}

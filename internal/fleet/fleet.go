@@ -72,7 +72,9 @@ type Config struct {
 
 	// Collect attaches a flight recorder to every device and folds the
 	// per-device metric registries into Report.Metrics via
-	// obs.Registry.Merge.
+	// obs.Registry.Merge. Each pooled worker slot keeps one recorder,
+	// reset between devices, and one running fold of the registries of
+	// the devices it ran.
 	Collect bool
 
 	// Trace enables end-to-end message telemetry: a span chain per
@@ -83,7 +85,8 @@ type Config struct {
 
 	// Profile turns on each device's cycle profiler and merges the
 	// per-device folded stacks into one fleet-wide flame graph
-	// (Report.Profile). Implies attaching recorders like Collect does.
+	// (Report.Profile) through per-slot obs.ProfileFold accumulators.
+	// Implies attaching recorders like Collect does.
 	Profile bool
 
 	// AnomalyK is the MAD multiplier of the outlier pass (0 = the
@@ -98,9 +101,9 @@ type Config struct {
 	// by one wave regardless of fleet size. Every externally visible
 	// result is byte-identical for any Wave value.
 	Wave int
-	// DisablePool builds a fresh machine for every device instead of
-	// resetting pooled ones — the escape hatch the pooled-reuse
-	// equivalence test compares against.
+	// DisablePool builds a fresh machine and recorder for every device
+	// instead of resetting pooled ones — the escape hatch the
+	// pooled-reuse equivalence test compares against.
 	DisablePool bool
 }
 
@@ -215,8 +218,8 @@ type Report struct {
 	// outcomes: stragglers, livelock suspects, freshness hotspots.
 	Anomalies []Anomaly `json:"anomalies,omitempty"`
 
-	// Metrics is the fold of every device's registry (Collect only),
-	// plus fleet_* rollup counters.
+	// Metrics is the fold of every device's registry (Collect or
+	// Profile), plus fleet_* rollup counters.
 	Metrics *obs.Registry `json:"-"`
 
 	// Telemetry holds the per-message span chains (Trace only).
@@ -231,10 +234,13 @@ type Report struct {
 	// or for a Report decoded from JSON): the deliveries in observation
 	// order, each device's gateway counters, and the end-to-end latency
 	// histogram.
-	log        []Delivery
-	devStats   []GatewayStats
-	lat        *obs.Histogram
-	registries []*obs.Registry
+	log      []Delivery
+	devStats []GatewayStats
+	lat      *obs.Histogram
+	// The run's config and image, from which DeviceRegistry re-runs a
+	// device (nil image for a Report decoded from JSON).
+	cfg Config
+	img *tics.Image
 }
 
 // GatewayLog returns the accepted deliveries in observation order (nil
@@ -255,12 +261,39 @@ func (r *Report) DeviceLog(dev int) []Delivery {
 }
 
 // DeviceRegistry returns device dev's own metrics registry (nil unless
-// the fleet ran with Collect).
+// the fleet ran with Collect or Profile). The fleet keeps no per-device
+// registry: this re-runs device dev with a fresh recorder from the
+// run's config and image, which is exact because every device is a
+// deterministic function of (config, dev) — the same argument that
+// makes ExportDevice replay bit-identically.
 func (r *Report) DeviceRegistry(dev int) *obs.Registry {
-	if r.registries == nil {
+	if r.img == nil || !(r.cfg.Collect || r.cfg.Profile) || dev < 0 || dev >= r.Devices {
 		return nil
 	}
-	return r.registries[dev]
+	rec := r.cfg.newRecorder()
+	if out, _ := runDevice(r.img, r.cfg, dev, nil, rec); out.Err != nil {
+		return nil
+	}
+	return rec.Metrics()
+}
+
+// newRecorder builds a device recorder. A small ring: fleet aggregation
+// wants the metrics (and, with Profile, the folded stacks), not the
+// event history (export a device to replay for that).
+func (c Config) newRecorder() *obs.Recorder {
+	return obs.NewRecorder(obs.Options{RingCap: 64, Profile: c.Profile})
+}
+
+// slot is one worker's share of the pool: a machine reset between the
+// devices it runs, and, when collecting, a recorder reset likewise plus
+// running folds of those devices' registries and profiles. Folding as
+// the job runs means nothing of fleet size is kept for metrics or
+// profiles.
+type slot struct {
+	m       *vm.Machine
+	rec     *obs.Recorder
+	metrics *obs.Registry
+	prof    *obs.ProfileFold
 }
 
 // waveSize returns the number of devices simulated between merges:
@@ -332,36 +365,37 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	outcomes := make([]DeviceOutcome, n)
-	var registries []*obs.Registry
-	if cfg.Collect || cfg.Profile {
-		registries = make([]*obs.Registry, n)
-	}
-	var profiles []obs.Profile
-	if cfg.Profile {
-		profiles = make([]obs.Profile, n)
-	}
 	var devStats []GatewayStats
 	if cfg.Remote == nil {
 		devStats = make([]GatewayStats, n)
 	}
 
-	// The machine pool holds one slot per worker; nil slots materialize
-	// lazily into machines on first claim and are reset between devices.
-	var pool chan *vm.Machine
-	if !cfg.DisablePool {
-		pool = make(chan *vm.Machine, workers)
-		for i := 0; i < workers; i++ {
-			pool <- nil
+	// The pool holds one slot per worker. A slot's machine and recorder
+	// materialize lazily on first claim and are reset between devices
+	// (rebuilt per device under DisablePool); its folds live for the
+	// whole run.
+	collect := cfg.Collect || cfg.Profile
+	slots := make([]*slot, workers)
+	pool := make(chan *slot, workers)
+	for w := range slots {
+		slots[w] = &slot{}
+		if collect {
+			slots[w].metrics = obs.NewRegistry()
 		}
+		if cfg.Profile {
+			slots[w].prof = obs.NewProfileFold()
+		}
+		pool <- slots[w]
 	}
 
 	rep := &Report{
-		Devices:    n,
-		Workers:    workers,
-		Seed:       cfg.Seed,
-		Outcomes:   outcomes,
-		devStats:   devStats,
-		registries: registries,
+		Devices:  n,
+		Workers:  workers,
+		Seed:     cfg.Seed,
+		Outcomes: outcomes,
+		devStats: devStats,
+		cfg:      cfg,
+		img:      img,
 	}
 	var tel *Telemetry
 	if cfg.Trace {
@@ -377,21 +411,36 @@ func Run(cfg Config) (*Report, error) {
 		start := time.Now()
 		ParallelFor(hi-lo, workers, func(k int) {
 			i := lo + k
-			var m *vm.Machine
-			if pool != nil {
-				m = <-pool
+			s := <-pool
+			if cfg.DisablePool {
+				s.m, s.rec = nil, nil
 			}
-			outcomes[i], m = runDevice(img, cfg, i, m, registries, profiles)
-			if pool != nil {
-				pool <- m
+			if collect {
+				if s.rec == nil {
+					s.rec = cfg.newRecorder()
+				} else {
+					s.rec.Reset()
+				}
 			}
+			outcomes[i], s.m = runDevice(img, cfg, i, s.m, s.rec)
 			out := &outcomes[i]
+			if s.rec != nil && out.Err == nil {
+				// Run's trailing CommitObservables flushed pending
+				// attribution, so the fold partitions the device's
+				// cycles exactly.
+				out.Err = s.metrics.Merge(s.rec.Metrics())
+				if s.prof != nil {
+					s.prof.Add(s.rec)
+				}
+			}
+			pool <- s
 			if out.Err != nil {
 				return
 			}
 			log := out.Res.SendLog
 			out.Sends = len(log)
 			out.UniqueSends = int(uniqueSends(log))
+			tel.reserve(i, out.UniqueSends)
 			arr, link := transmit(i, out.Seed, cfg.Link, log, tel)
 			out.Res.SendLog = nil
 			r := deviceRound{link: link}
@@ -487,14 +536,16 @@ func Run(cfg Config) (*Report, error) {
 	rep.Telemetry = tel
 	rep.Anomalies = DetectAnomalies(rep, cfg.AnomalyK)
 
-	if cfg.Collect || cfg.Profile {
+	if collect {
+		// The slots' folds add up to the device-order fold exactly: every
+		// value a device recorder observes is an integer (cycles, bytes,
+		// entry counts) and the fleet totals stay far below 2^53, so the
+		// float gauge and histogram Sums are exact in any addition order.
+		// TestSlotFoldIsOrderFree pins it.
 		merged := obs.NewRegistry()
-		for i, reg := range registries {
-			if reg == nil {
-				continue
-			}
-			if err := merged.Merge(reg); err != nil {
-				return nil, fmt.Errorf("fleet: device %d: %w", i, err)
+		for _, s := range slots {
+			if err := merged.Merge(s.metrics); err != nil {
+				return nil, fmt.Errorf("fleet: %w", err)
 			}
 		}
 		merged.Add("fleet_devices", int64(n))
@@ -523,7 +574,11 @@ func Run(cfg Config) (*Report, error) {
 		rep.Metrics = merged
 	}
 	if cfg.Profile {
-		p := obs.MergeProfiles(profiles...)
+		fold := obs.NewProfileFold()
+		for _, s := range slots {
+			fold.Merge(s.prof)
+		}
+		p := fold.Profile()
 		rep.Profile = &p
 	}
 	rep.Phases, rep.WallSeconds = pc.finish()
@@ -549,14 +604,14 @@ func sortDeliveries(log []Delivery) {
 }
 
 // runDevice executes one device with fully private run state: its own
-// seeded power source, sensor bank, clock, and (when collecting) its own
-// recorder. The machine itself may be a pooled one handed in from a
-// previous device — it is reset to a fresh fork of the shared image
-// before running, which is indistinguishable from a new machine. The
-// (possibly newly created) machine is returned for the pool. Nothing
-// here may touch state shared with another in-flight device — the -race
-// fleet test enforces it.
-func runDevice(img *tics.Image, cfg Config, dev int, m *vm.Machine, registries []*obs.Registry, profiles []obs.Profile) (DeviceOutcome, *vm.Machine) {
+// seeded power source, sensor bank, clock, and (when collecting) the
+// recorder rec, fresh or Reset. The machine itself may be a pooled one
+// handed in from a previous device — it is reset to a fresh fork of the
+// shared image before running, which is indistinguishable from a new
+// machine. The (possibly newly created) machine is returned for the
+// pool. Nothing here may touch state shared with another in-flight
+// device — the -race fleet test enforces it.
+func runDevice(img *tics.Image, cfg Config, dev int, m *vm.Machine, rec *obs.Recorder) (DeviceOutcome, *vm.Machine) {
 	seed := DeviceSeed(cfg.Seed, dev)
 	out := DeviceOutcome{ID: dev, Seed: seed}
 	src, err := replay.ParsePower(cfg.power(), seed)
@@ -568,15 +623,6 @@ func runDevice(img *tics.Image, cfg Config, dev int, m *vm.Machine, registries [
 	if err != nil {
 		out.Err = err
 		return out, m
-	}
-	var rec *obs.Recorder
-	if registries != nil {
-		// A small ring: fleet aggregation wants the metrics (and, with
-		// Profile, the folded stacks), not the event history (export a
-		// device to replay for that). Recorders are not pooled: the
-		// per-device registries outlive the run in Report.DeviceRegistry.
-		rec = obs.NewRecorder(obs.Options{RingCap: 64, Profile: profiles != nil})
-		registries[dev] = rec.Metrics()
 	}
 	opts := tics.RunOptions{
 		Power:           src,
@@ -599,12 +645,6 @@ func runDevice(img *tics.Image, cfg Config, dev int, m *vm.Machine, registries [
 	}
 	res, runErr := m.Run()
 	out.Res = res
-	if profiles != nil {
-		// Run's trailing CommitObservables flushed pending attribution,
-		// so the snapshot partitions the device's cycles exactly. Each
-		// device writes only its own slot — pool convention.
-		profiles[dev] = rec.Profile()
-	}
 	// A program fault is a device outcome, not a fleet error; it is
 	// already folded into Res.Fault. Only setup errors abort the fleet.
 	_ = runErr

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/vm"
@@ -24,9 +23,14 @@ import (
 // device's own seeded channel draws. So traces inherit the fleet's
 // worker-count independence: the rendered trace of any message is
 // byte-identical whether the fleet ran on 1 worker or 16.
+//
+// Committed seqs are contiguous from 0, so each device's traces are a
+// slice indexed by seq; a slot holds a message iff it has at least one
+// emit. Every enumeration reads the slices in seq order, with no map and
+// no sort.
 type Telemetry struct {
 	freshnessMs float64
-	byDev       []map[int64]*MessageTrace
+	byDev       [][]MessageTrace
 }
 
 // EmitSpan is the device-side hop: one radio transmission of the packet.
@@ -93,22 +97,25 @@ type MessageTrace struct {
 // NewTelemetry builds a tracer for an n-device fleet with the given
 // gateway freshness deadline (0 = none).
 func NewTelemetry(n int, freshnessMs float64) *Telemetry {
-	return &Telemetry{freshnessMs: freshnessMs, byDev: make([]map[int64]*MessageTrace, n)}
+	return &Telemetry{freshnessMs: freshnessMs, byDev: make([][]MessageTrace, n)}
 }
 
-// trace returns (allocating if needed) the trace for (dev, seq).
+// reserve sizes device dev's trace slice for n seqs up front. Nil-safe.
+func (t *Telemetry) reserve(dev, n int) {
+	if t != nil && t.byDev[dev] == nil {
+		t.byDev[dev] = make([]MessageTrace, 0, n)
+	}
+}
+
+// trace returns the slot for (dev, seq), growing the device's slice to
+// reach it. The pointer is valid until the next growth.
 func (t *Telemetry) trace(dev int, seq int64) *MessageTrace {
-	m := t.byDev[dev]
-	if m == nil {
-		m = make(map[int64]*MessageTrace)
-		t.byDev[dev] = m
+	s := t.byDev[dev]
+	if seq >= int64(len(s)) {
+		s = append(s, make([]MessageTrace, seq+1-int64(len(s)))...)
+		t.byDev[dev] = s
 	}
-	tr := m[seq]
-	if tr == nil {
-		tr = &MessageTrace{Dev: dev, Seq: seq}
-		m[seq] = tr
-	}
-	return tr
+	return &s[seq]
 }
 
 // onEmit opens (or extends, for raw-radio replays of the same committed
@@ -119,7 +126,7 @@ func (t *Telemetry) onEmit(dev int, rec vm.SendRec) int {
 		return 0
 	}
 	tr := t.trace(dev, rec.Seq)
-	tr.Value = rec.Value
+	tr.Dev, tr.Seq, tr.Value = dev, rec.Seq, rec.Value
 	tr.Emits = append(tr.Emits, EmitSpan{
 		TrueMs:          rec.TrueMs,
 		DeviceMs:        rec.EstMs,
@@ -182,8 +189,9 @@ func (t *Telemetry) closeChains(dev int) {
 	if t == nil {
 		return
 	}
-	for _, tr := range t.byDev[dev] {
-		if tr.Verdict.Outcome != "" {
+	for i := range t.byDev[dev] {
+		tr := &t.byDev[dev][i]
+		if len(tr.Emits) == 0 || tr.Verdict.Outcome != "" {
 			continue
 		}
 		tr.Verdict.Outcome = OutcomeLost
@@ -199,10 +207,13 @@ func (t *Telemetry) closeChains(dev int) {
 // Trace returns the span chain for (dev, seq), or nil if that message
 // was never sent (or the fleet ran without tracing).
 func (t *Telemetry) Trace(dev int, seq int64) *MessageTrace {
-	if t == nil || dev < 0 || dev >= len(t.byDev) {
+	if t == nil || dev < 0 || dev >= len(t.byDev) || seq < 0 || seq >= int64(len(t.byDev[dev])) {
 		return nil
 	}
-	return t.byDev[dev][seq]
+	if tr := &t.byDev[dev][seq]; len(tr.Emits) > 0 {
+		return tr
+	}
+	return nil
 }
 
 // Devices returns the fleet size the tracer was built for.
@@ -218,15 +229,11 @@ func (t *Telemetry) DeviceTraces(dev int) []*MessageTrace {
 	if t == nil || dev < 0 || dev >= len(t.byDev) {
 		return nil
 	}
-	m := t.byDev[dev]
-	seqs := make([]int64, 0, len(m))
-	for s := range m {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	out := make([]*MessageTrace, len(seqs))
-	for i, s := range seqs {
-		out[i] = m[s]
+	var out []*MessageTrace
+	for i := range t.byDev[dev] {
+		if tr := &t.byDev[dev][i]; len(tr.Emits) > 0 {
+			out = append(out, tr)
+		}
 	}
 	return out
 }
@@ -246,15 +253,42 @@ func (t *Telemetry) Traces() []*MessageTrace {
 
 // WriteJSON renders every trace as one JSON object per line in (device,
 // seq) order — greppable, diffable, and byte-stable across worker counts.
+// Each line is exactly json.Marshal of the MessageTrace, appended by hand
+// into one buffer that is flushed in chunks.
 func (t *Telemetry) WriteJSON(w io.Writer) error {
-	for _, tr := range t.Traces() {
-		b, err := json.Marshal(tr)
-		if err != nil {
-			return err
+	if t == nil {
+		return nil
+	}
+	const chunk = 64 << 10
+	e := spanEnc{b: make([]byte, 0, chunk+4<<10)}
+	for dev := range t.byDev {
+		for i := range t.byDev[dev] {
+			tr := &t.byDev[dev][i]
+			if len(tr.Emits) == 0 {
+				continue
+			}
+			start := len(e.b)
+			if e.trace(tr); e.bad {
+				// A NaN or infinity: write the lines before it, then
+				// return json.Marshal's error for it.
+				if _, err := w.Write(e.b[:start]); err != nil {
+					return err
+				}
+				_, err := json.Marshal(tr)
+				return err
+			}
+			e.b = append(e.b, '\n')
+			if len(e.b) >= chunk {
+				if _, err := w.Write(e.b); err != nil {
+					return err
+				}
+				e.b = e.b[:0]
+			}
 		}
-		if _, err := w.Write(append(b, '\n')); err != nil {
-			return err
-		}
+	}
+	if len(e.b) > 0 {
+		_, err := w.Write(e.b)
+		return err
 	}
 	return nil
 }

@@ -31,11 +31,13 @@ type runOutcome struct {
 }
 
 // runner executes schedules against one shared image using a pool of
-// COW-forked machines: the first run on each pool slot builds a machine
-// from the image's vm.Prepared snapshot, later runs rebind it with
-// Machine.Reset (indistinguishable from a fresh machine, pinned by the
-// pooled-reuse tests), so a 10k-schedule sweep does not pay 10k image
-// loads.
+// COW-forked machines, each with its recorder: the first run on each
+// pool slot builds a machine from the image's vm.Prepared snapshot,
+// later runs rebind it with Machine.Reset and return the recorder to its
+// fresh state with Recorder.Reset (which also drops the previous run's
+// audit, tracker and stamp sinks) — both indistinguishable from new
+// ones, pinned by the pooled-reuse tests — so a 10k-schedule sweep does
+// not pay 10k image loads or recorder builds.
 type runner struct {
 	img       *tics.Image
 	spec      replay.Spec
@@ -44,23 +46,32 @@ type runner struct {
 	maxCycles int64 // starvation bound for interrupted runs (0 = spec default)
 
 	mu   sync.Mutex
-	pool []*vm.Machine
+	pool []pooled
 }
 
-func (r *runner) acquire() *vm.Machine {
+// pooled is one reusable machine and the recorder attached to it.
+type pooled struct {
+	m   *vm.Machine
+	rec *obs.Recorder
+}
+
+// acquire takes a pooled machine and its reset recorder, or a nil
+// machine and a new recorder when the pool is empty.
+func (r *runner) acquire() pooled {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if n := len(r.pool); n > 0 {
-		m := r.pool[n-1]
+		p := r.pool[n-1]
 		r.pool = r.pool[:n-1]
-		return m
+		p.rec.Reset()
+		return p
 	}
-	return nil
+	return pooled{rec: obs.NewRecorder(obs.Options{RingCap: 64})}
 }
 
-func (r *runner) release(m *vm.Machine) {
+func (r *runner) release(p pooled) {
 	r.mu.Lock()
-	r.pool = append(r.pool, m)
+	r.pool = append(r.pool, p)
 	r.mu.Unlock()
 }
 
@@ -94,13 +105,14 @@ func (r *runner) runOptions(src power.Source, rec *obs.Recorder) (tics.RunOption
 // collectStamps gathers event+store cycle stamps for deeper enumeration.
 func (r *runner) run(windows []power.SchedWindow, collectGlobals, collectStamps bool) (runOutcome, error) {
 	src := &power.Schedule{Windows: windows}
-	rec := obs.NewRecorder(obs.Options{RingCap: 64})
+	p := r.acquire()
+	rec := p.rec
 	opts, err := r.runOptions(src, rec)
 	if err != nil {
 		return runOutcome{}, err
 	}
 
-	m := r.acquire()
+	m := p.m
 	if m == nil {
 		m, err = tics.NewMachine(r.img, opts)
 	} else {
@@ -109,7 +121,7 @@ func (r *runner) run(windows []power.SchedWindow, collectGlobals, collectStamps 
 	if err != nil {
 		return runOutcome{}, err
 	}
-	defer r.release(m)
+	defer r.release(pooled{m: m, rec: rec})
 
 	aud, err := audit.Attach(m, audit.Options{})
 	if err != nil {

@@ -154,7 +154,9 @@ type Sink interface {
 }
 
 // Recorder is one machine run's flight recorder. It is not safe for
-// concurrent use; attach a fresh recorder per machine.
+// concurrent use; one recorder serves one machine at a time, and Reset
+// returns it to its NewRecorder state between runs so a pooled machine
+// can keep its recorder.
 type Recorder struct {
 	ring    []Event
 	head    int // next write position
@@ -175,16 +177,14 @@ type Recorder struct {
 
 	// All call-stack attribution lives in a trie of interned stack
 	// signatures: curNode identifies the live signature (it IS the
-	// shadow call stack — depth equals stack depth), foldCount[i]
-	// accumulates self-cycles at node i, and children are linked via
-	// first-child/next-sibling so descent is a short pointer walk with
-	// no hashing. No string is built and no map is touched until
-	// Profile() renders the report; per-function totals are recovered
-	// there by summing nodes that share a function. OnSpend, the
-	// hottest path in a profiled run, is a pair of slice-indexed adds.
-	foldNodes []foldNode
-	foldCount []int64
-	curNode   int32
+	// shadow call stack — depth equals stack depth) and trie.count[i]
+	// accumulates self-cycles at node i. No string is built and no map
+	// is touched until Profile() renders the report; per-function totals
+	// are recovered there by summing nodes that share a function.
+	// OnSpend, the hottest path in a profiled run, is a pair of
+	// slice-indexed adds.
+	trie    foldTrie
+	curNode int32
 
 	cpBeginCycles int64
 	cpBeginMs     float64
@@ -212,13 +212,12 @@ func NewRecorder(opts Options) *Recorder {
 		opts.Keep = MaskAll
 	}
 	r := &Recorder{
-		ring:      make([]Event, opts.RingCap),
-		keep:      opts.Keep,
-		reg:       NewRegistry(),
-		profile:   opts.Profile,
-		catStack:  []Category{CatApp},
-		foldNodes: []foldNode{{parent: -1, fn: -1, firstKid: -1, nextSib: -1}}, // node 0: the "(device)" root
-		foldCount: []int64{0},
+		ring:     make([]Event, opts.RingCap),
+		keep:     opts.Keep,
+		reg:      NewRegistry(),
+		profile:  opts.Profile,
+		catStack: []Category{CatApp},
+		trie:     newFoldTrie(),
 	}
 	r.cpLatHist = r.reg.RegisterHistogram("checkpoint_latency_cycles", []float64{64, 128, 256, 512, 1024, 2048, 4096, 8192})
 	r.cpSizeHist = r.reg.RegisterHistogram("checkpoint_size_bytes", []float64{16, 32, 64, 128, 256, 512, 1024, 2048})
@@ -244,6 +243,27 @@ func NewRecorder(opts Options) *Recorder {
 	// drop counter is indistinguishable from a missing export.
 	r.dropCtr = r.reg.CounterRef("trace_events_dropped")
 	return r
+}
+
+// Reset returns the recorder to its NewRecorder state — empty ring, no
+// drops, seq 0, no sinks, every metric zeroed, no attribution, no open
+// checkpoint — while keeping its storage: the ring, the registry (so
+// cached counter and histogram pointers stay valid), the category stack
+// and the fold trie's backing arrays. The function table is dropped too;
+// attaching the recorder to a machine installs it again.
+func (r *Recorder) Reset() {
+	r.head, r.n, r.dropped, r.seq = 0, 0, 0, 0
+	clear(r.sinks)
+	r.sinks = r.sinks[:0]
+	r.reg.Reset()
+	r.reg.SetGauge("trace_ring_cap", float64(len(r.ring)))
+	r.funcs = nil
+	r.catStack = append(r.catStack[:0], CatApp)
+	r.pending = [catCount]int64{}
+	r.byCat = [catCount]int64{}
+	r.trie.reset()
+	r.curNode = 0
+	r.cpBeginCycles, r.cpBeginMs, r.cpOpen, r.lastFailAt = 0, 0, false, 0
 }
 
 // SetFunctions installs the image's function-name table (index-aligned
@@ -376,13 +396,13 @@ func (r *Recorder) OnSpend(c int64) {
 		return
 	}
 	r.pending[r.catStack[len(r.catStack)-1]] += c
-	r.foldCount[r.curNode] += c
+	r.trie.count[r.curNode] += c
 }
 
 // foldNode is one interned shadow-stack signature: its parent signature
 // plus one more function. Children hang off the parent as a
 // first-child/next-sibling list — call sites fan out to a handful of
-// callees, so the linear walk in foldDescend beats hashing.
+// callees, so the linear walk in foldTrie.child beats hashing.
 type foldNode struct {
 	parent   int32
 	fn       int32
@@ -390,24 +410,66 @@ type foldNode struct {
 	nextSib  int32
 }
 
+// foldTrie interns shadow-stack signatures; node 0 is the "(device)"
+// root, and a child is always interned after its parent.
+type foldTrie struct {
+	nodes []foldNode
+	count []int64 // self-cycles per node
+}
+
+func newFoldTrie() foldTrie {
+	return foldTrie{
+		nodes: []foldNode{{parent: -1, fn: -1, firstKid: -1, nextSib: -1}},
+		count: []int64{0},
+	}
+}
+
+// reset truncates the trie to its root, keeping the backing arrays.
+func (t *foldTrie) reset() {
+	t.nodes = t.nodes[:1]
+	t.nodes[0].firstKid = -1
+	t.count = t.count[:1]
+	t.count[0] = 0
+}
+
+// child returns the node for parent's signature plus fn, interning it on
+// first visit.
+func (t *foldTrie) child(parent, fn int32) int32 {
+	for id := t.nodes[parent].firstKid; id >= 0; id = t.nodes[id].nextSib {
+		if t.nodes[id].fn == fn {
+			return id
+		}
+	}
+	id := int32(len(t.nodes))
+	t.nodes = append(t.nodes, foldNode{
+		parent: parent, fn: fn,
+		firstKid: -1, nextSib: t.nodes[parent].firstKid,
+	})
+	t.count = append(t.count, 0)
+	t.nodes[parent].firstKid = id
+	return id
+}
+
+// add folds o's counts into t node by node: o's node i maps to t's child
+// of (the image of o's parent, fn), interned if new. Parents precede
+// children in o, so one pass resolves every node. ids is scratch space,
+// returned for reuse.
+func (t *foldTrie) add(o *foldTrie, ids []int32) []int32 {
+	ids = append(ids[:0], 0)
+	t.count[0] += o.count[0]
+	for i := 1; i < len(o.nodes); i++ {
+		n := o.nodes[i]
+		id := t.child(ids[n.parent], n.fn)
+		ids = append(ids, id)
+		t.count[id] += o.count[i]
+	}
+	return ids
+}
+
 // foldDescend moves curNode to the child signature for fn, interning it
 // on first visit.
 func (r *Recorder) foldDescend(fn int) {
-	f := int32(fn)
-	for id := r.foldNodes[r.curNode].firstKid; id >= 0; id = r.foldNodes[id].nextSib {
-		if r.foldNodes[id].fn == f {
-			r.curNode = id
-			return
-		}
-	}
-	id := int32(len(r.foldNodes))
-	r.foldNodes = append(r.foldNodes, foldNode{
-		parent: r.curNode, fn: f,
-		firstKid: -1, nextSib: r.foldNodes[r.curNode].firstKid,
-	})
-	r.foldCount = append(r.foldCount, 0)
-	r.foldNodes[r.curNode].firstKid = id
-	r.curNode = id
+	r.curNode = r.trie.child(r.curNode, int32(fn))
 }
 
 // OnCommit flushes cycles attributed since the last commit point into the
@@ -455,7 +517,7 @@ func (r *Recorder) LeaveFunc() {
 	if !r.profile || r.curNode == 0 {
 		return
 	}
-	r.curNode = r.foldNodes[r.curNode].parent
+	r.curNode = r.trie.nodes[r.curNode].parent
 }
 
 // ResetStack re-roots the shadow call stack after a control-flow
@@ -472,9 +534,9 @@ func (r *Recorder) ResetStack(fn int) {
 	}
 }
 
-func (r *Recorder) funcName(fn int) string {
-	if fn >= 0 && fn < len(r.funcs) {
-		return r.funcs[fn]
+func funcName(funcs []string, fn int32) string {
+	if fn >= 0 && int(fn) < len(funcs) {
+		return funcs[fn]
 	}
 	return "(stub)"
 }
@@ -537,31 +599,84 @@ func MergeProfiles(ps ...Profile) Profile {
 
 // Profile snapshots the attribution (call Finish first for exact totals).
 func (r *Recorder) Profile() Profile {
+	byCat := r.byCat
+	for i, v := range r.pending {
+		byCat[i] += v
+	}
+	return renderProfile(byCat, &r.trie, r.funcs)
+}
+
+// renderProfile turns category totals and a signature trie into the
+// string-keyed report.
+func renderProfile(byCat [catCount]int64, t *foldTrie, funcs []string) Profile {
 	p := Profile{
 		ByCategory: make(map[string]int64, catCount),
-		ByFunction: make(map[string]int64, len(r.funcs)+1),
-		Folded:     make(map[string]int64, len(r.foldNodes)),
+		ByFunction: make(map[string]int64, len(funcs)+1),
+		Folded:     make(map[string]int64, len(t.nodes)),
 	}
-	for i, v := range r.byCat {
-		p.ByCategory[Category(i).String()] = v + r.pending[i]
+	for i, v := range byCat {
+		p.ByCategory[Category(i).String()] = v
 	}
 	// Render the interned signature trie back into folded-stack strings,
 	// and recover per-function totals by summing each function's nodes
 	// (a node's count is self time for the function on top). Children
 	// always intern after their parent, so a single pass over the node
 	// list can reuse each parent's already-rendered key.
-	keys := make([]string, len(r.foldNodes))
+	keys := make([]string, len(t.nodes))
 	keys[0] = "(device)"
-	for i := 1; i < len(r.foldNodes); i++ {
-		n := r.foldNodes[i]
-		keys[i] = keys[n.parent] + ";" + r.funcName(int(n.fn))
+	for i := 1; i < len(t.nodes); i++ {
+		n := t.nodes[i]
+		keys[i] = keys[n.parent] + ";" + funcName(funcs, n.fn)
 	}
-	for i, v := range r.foldCount {
+	for i, v := range t.count {
 		if v == 0 {
 			continue
 		}
 		p.Folded[keys[i]] += v
-		p.ByFunction[r.funcName(int(r.foldNodes[i].fn))] += v
+		p.ByFunction[funcName(funcs, t.nodes[i].fn)] += v
 	}
 	return p
 }
+
+// ProfileFold accumulates many recorders' attribution without rendering
+// it: Add folds a recorder's category totals and signature trie into the
+// fold's own trie node by node, building no strings and touching no
+// maps, and Profile renders the sum once. Its Profile equals
+// MergeProfiles over the folded recorders' Profiles, provided they all
+// ran the same image (function indices are matched, not names) — the
+// fleet's per-worker profile accumulator.
+type ProfileFold struct {
+	byCat [catCount]int64
+	trie  foldTrie
+	funcs []string
+	ids   []int32 // scratch node map for add
+}
+
+// NewProfileFold returns an empty fold.
+func NewProfileFold() *ProfileFold { return &ProfileFold{trie: newFoldTrie()} }
+
+// Add folds r's attribution, pending cycles included (as Profile reports
+// them), into f. r is not modified.
+func (f *ProfileFold) Add(r *Recorder) {
+	for i, v := range r.byCat {
+		f.byCat[i] += v + r.pending[i]
+	}
+	if f.funcs == nil {
+		f.funcs = r.funcs
+	}
+	f.ids = f.trie.add(&r.trie, f.ids)
+}
+
+// Merge folds o into f. o is not modified.
+func (f *ProfileFold) Merge(o *ProfileFold) {
+	for i, v := range o.byCat {
+		f.byCat[i] += v
+	}
+	if f.funcs == nil {
+		f.funcs = o.funcs
+	}
+	f.ids = f.trie.add(&o.trie, f.ids)
+}
+
+// Profile renders the accumulated attribution.
+func (f *ProfileFold) Profile() Profile { return renderProfile(f.byCat, &f.trie, f.funcs) }

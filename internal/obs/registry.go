@@ -68,6 +68,21 @@ func (g *Registry) CounterRef(name string) *int64 {
 	return c
 }
 
+// LazyCounter caches one counter's cell on its first increment, so a hot
+// path pays the name lookup once, while — unlike a CounterRef taken up
+// front — the counter still only exists once it has been bumped. The
+// zero value is ready; always use one LazyCounter with the same registry
+// and name.
+type LazyCounter struct{ p *int64 }
+
+// Inc adds 1 to counter name of g.
+func (c *LazyCounter) Inc(g *Registry, name string) {
+	if c.p == nil {
+		c.p = g.CounterRef(name)
+	}
+	*c.p++
+}
+
 // Inc adds 1 to a counter, creating it at zero first.
 func (g *Registry) Inc(name string) { *g.CounterRef(name)++ }
 
@@ -142,6 +157,21 @@ func (g *Registry) Merge(other *Registry) error {
 		}
 	}
 	return nil
+}
+
+// Reset zeroes every counter, gauge and histogram in place. Names stay
+// registered and every CounterRef, GaugeRef and histogram pointer handed
+// out stays valid, so a reused recorder's cached cells keep counting.
+func (g *Registry) Reset() {
+	for _, c := range g.counters {
+		*c = 0
+	}
+	for _, ga := range g.gauges {
+		ga.v = 0
+	}
+	for _, h := range g.hists {
+		h.reset()
+	}
 }
 
 // CounterSnapshot returns a fresh copy of all counters — the
@@ -228,6 +258,13 @@ func (h *Histogram) Observe(v float64) {
 	if v > h.Max {
 		h.Max = v
 	}
+}
+
+// reset empties the histogram, keeping its bounds.
+func (h *Histogram) reset() {
+	clear(h.Counts)
+	h.Count, h.Sum = 0, 0
+	h.Min, h.Max = math.Inf(1), math.Inf(-1)
 }
 
 // Clone returns a deep copy of the histogram.

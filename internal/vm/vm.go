@@ -323,9 +323,10 @@ type outEntry struct {
 // number of machines concurrently — fleets fork thousands of devices from
 // a single one instead of re-loading and re-decoding the image per device.
 type Prepared struct {
-	Img     *link.Image
-	decoded []decodedInstr
-	base    *mem.Base
+	Img       *link.Image
+	decoded   []decodedInstr
+	base      *mem.Base
+	funcNames []string // the recorder's function table, built once
 }
 
 // Prepare loads img into a scratch memory, freezes the result as the
@@ -342,7 +343,17 @@ func Prepare(img *link.Image) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{Img: img, decoded: decoded, base: scratch.Freeze()}, nil
+	return &Prepared{Img: img, decoded: decoded, base: scratch.Freeze(), funcNames: funcNames(img)}, nil
+}
+
+// funcNames is img's function-name table, index-aligned with the
+// function indices the machine reports to a recorder.
+func funcNames(img *link.Image) []string {
+	names := make([]string, len(img.Funcs))
+	for i, f := range img.Funcs {
+		names[i] = f.Name
+	}
+	return names
 }
 
 // normalize resolves the Prepared/Image pair and fills config defaults.
@@ -562,17 +573,18 @@ func (m *Machine) Runtime() Runtime { return m.rt }
 
 // AttachRecorder wires a flight recorder to the machine (nil detaches).
 // Call before Run; the machine installs the image's function-name table
-// so the recorder's profiler can resolve symbols.
+// so the recorder's profiler can resolve symbols. A machine built from a
+// Prepared image shares the table the Prepared built once.
 func (m *Machine) AttachRecorder(rec *obs.Recorder) {
 	m.rec = rec
 	if rec == nil {
 		return
 	}
-	names := make([]string, len(m.Img.Funcs))
-	for i, f := range m.Img.Funcs {
-		names[i] = f.Name
+	if m.prepared != nil {
+		rec.SetFunctions(m.prepared.funcNames)
+		return
 	}
-	rec.SetFunctions(names)
+	rec.SetFunctions(funcNames(m.Img))
 }
 
 // Recorder returns the attached flight recorder (nil when disabled).
