@@ -13,6 +13,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/replay"
+	"repro/internal/vm"
 )
 
 // progGen emits random TICS-C programs: nested loops, branches, helper
@@ -397,6 +398,115 @@ func FuzzResetPoint(f *testing.F) {
 		if !reflect.DeepEqual(res.OutLog, oracle.OutLog) {
 			t.Fatalf("seed %d cut=%d: diverged from oracle\n got  %v\n want %v\n%s",
 				seed, c, res.OutLog, oracle.OutLog, src)
+		}
+	})
+}
+
+// FuzzResumeMatchesFresh is the shadow of the model checker's shared
+// prefixes: a run paused at an arbitrary instruction boundary s of the
+// continuous-power run, copied onto another machine and resumed under the
+// schedule "sched:c@20" (s <= c) must be indistinguishable from a fresh
+// run of that schedule: the same vm.Result (logs, counters, runtime and
+// memory stats included), the same audit verdicts and the same recorder
+// events, metrics and profile. Odd seeds use a remanence clock, whose
+// error model carries state across the copy; seeds divisible by three log
+// undo entries per 16-byte block, so stores after the pause can rely on
+// an entry logged before it.
+func FuzzResumeMatchesFresh(f *testing.F) {
+	f.Add(int64(0), uint32(4_000), uint32(3_000))
+	f.Add(int64(7), uint32(77_000), uint32(76_990))
+	f.Add(int64(13), uint32(1), uint32(0))
+	f.Add(int64(4), uint32(120_000), uint32(9))
+	f.Add(int64(6), uint32(60_000), uint32(58_000))
+	f.Add(int64(9), uint32(90_000), uint32(88_500))
+	f.Add(int64(309), uint32(76_618), uint32(77_105)) // a block logged before the pause, stored to after it
+	f.Fuzz(func(t *testing.T, seed int64, cut, pause uint32) {
+		var g progGen
+		src := g.program(seed)
+		bo := tics.BuildOptions{Runtime: tics.RTTICS}
+		if seed%3 == 0 {
+			bo.UndoBlockBytes = 16
+		}
+		img, err := tics.Build(src, bo)
+		if err != nil {
+			t.Fatalf("build: %v\n%s", err, src)
+		}
+		clock := "perfect"
+		if seed%2 != 0 {
+			clock = "remanence:0.1,5000"
+		}
+		type run struct {
+			m   *vm.Machine
+			rec *obs.Recorder
+			aud *audit.Auditor
+		}
+		start := func(windows []power.SchedWindow) run {
+			k, err := replay.ParseClock(clock, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := obs.NewRecorder(obs.Options{RingCap: 256, Profile: true})
+			m, err := tics.NewMachine(img, tics.RunOptions{
+				Power:           &power.Schedule{Windows: windows},
+				Clock:           k,
+				AutoCpPeriodMs:  2,
+				MaxCycles:       500_000_000,
+				VirtualizeSends: true,
+				Recorder:        rec,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			aud, err := audit.Attach(m, audit.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return run{m, rec, aud}
+		}
+		observe := func(r run, res vm.Result) string {
+			var b strings.Builder
+			fmt.Fprintf(&b, "%+v\n%v\n", res, r.aud.Violations())
+			fmt.Fprintf(&b, "seq=%d dropped=%d\n%v\n", r.rec.Seq(), r.rec.Dropped(), r.rec.Events())
+			r.rec.Metrics().Dump(&b)
+			r.rec.Finish()
+			fmt.Fprintf(&b, "%v\n", r.rec.Profile())
+			return b.String()
+		}
+
+		oracle := start(nil)
+		ores, _ := oracle.m.Run()
+		if ores.Cycles < 2 {
+			t.Skip("program too short to cut")
+		}
+		c := 1 + int64(cut)%(ores.Cycles-1)
+		s := int64(pause) % (c + 1)
+		windows := []power.SchedWindow{{Cycles: c, OffMs: 20}}
+
+		fresh := start(windows)
+		fres, _ := fresh.m.Run()
+		want := observe(fresh, fres)
+
+		leader := start(nil)
+		var got string
+		leader.m.PauseAt(s-1, func() {
+			defer leader.m.Halt()
+			if leader.m.Cycles() > c {
+				return // the step crossing s also crossed the cut
+			}
+			child := start(windows)
+			if !child.m.CopyState(leader.m) || !child.aud.CopyState(leader.aud) {
+				t.Fatal("TICS machine state did not copy")
+			}
+			res, err := child.m.Resume()
+			if err != nil && res.Fault == nil {
+				t.Fatalf("resume at cycle %d of cut %d: %v", leader.m.Cycles(), c, err)
+			}
+			got = observe(child, res)
+		})
+		leader.m.Run()
+		if got != "" && got != want {
+			t.Fatalf("seed %d cut %d pause %d: resumed run differs from a fresh one\n--- resumed ---\n%s\n--- fresh ---\n%s\n%s",
+				seed, c, s, got, want, src)
 		}
 	})
 }

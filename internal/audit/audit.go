@@ -192,6 +192,39 @@ func Attach(m *vm.Machine, opt Options) (*Auditor, error) {
 	return a, nil
 }
 
+// CopyState makes a's dynamic state — the committed shadow, this epoch's
+// coverage and last writers, open and torn checkpoints, the pending
+// expiry, the event count and the violations — equal src's, so that an
+// auditor on a machine resumed from a copy of src's (vm.Machine.CopyState)
+// reports exactly what src would have. Both must audit the same region
+// with the same checks; it reports false, changing nothing, otherwise.
+func (a *Auditor) CopyState(src *Auditor) bool {
+	if a.base != src.base || a.end != src.end || a.undoCheck != src.undoCheck || a.timeCheck != src.timeCheck ||
+		a.opt.FailFast != src.opt.FailFast || a.opt.MaxViolations != src.opt.MaxViolations {
+		return false
+	}
+	copy(a.shadow, src.shadow)
+	a.shadowRegs, a.haveShadow, a.regsValid, a.commitSeq = src.shadowRegs, src.haveShadow, src.regsValid, src.commitSeq
+	clear(a.covered)
+	for k, v := range src.covered {
+		a.covered[k] = v
+	}
+	clear(a.lastWriter)
+	for k, v := range src.lastWriter {
+		a.lastWriter[k] = v
+	}
+	a.cpOpen, a.cpBeginSeq, a.cpBeginRegs = src.cpOpen, src.cpBeginSeq, src.cpBeginRegs
+	a.torn, a.tornSeq = nil, src.tornSeq
+	if src.torn != nil {
+		r := *src.torn
+		a.torn = &r
+	}
+	a.expiryPending, a.expirySeq, a.expiryDeadline = src.expiryPending, src.expirySeq, src.expiryDeadline
+	a.seq, a.total, a.tripped = src.seq, src.total, src.tripped
+	a.violations = append(a.violations[:0], src.violations...)
+	return true
+}
+
 // Region returns the audited address interval [base, end).
 func (a *Auditor) Region() (uint32, uint32) { return a.base, a.end }
 

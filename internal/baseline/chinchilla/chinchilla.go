@@ -132,6 +132,17 @@ func New(img *link.Image, cfg Config) (*Chinchilla, error) {
 // Name implements vm.Runtime.
 func (c *Chinchilla) Name() string { return "chinchilla" }
 
+// CopyState implements vm.Runtime: the volatile mirrors and the
+// counters; the rest lives in the machine's memory.
+func (c *Chinchilla) CopyState(src vm.Runtime) bool {
+	s, ok := src.(*Chinchilla)
+	if !ok || s.img != c.img || s.cfg != c.cfg || c.reg.CopyFrom(s.reg) != nil {
+		return false
+	}
+	c.active, c.epoch, c.undoLen = s.active, s.epoch, s.undoLen
+	return true
+}
+
 // Stats implements vm.Runtime. The returned map is a defensive snapshot:
 // mutating it cannot corrupt the live counters.
 func (c *Chinchilla) Stats() map[string]int64 { return c.reg.CounterSnapshot() }

@@ -111,6 +111,17 @@ func New(img *link.Image, cfg Config) (*Mementos, error) {
 // Name implements vm.Runtime.
 func (b *Mementos) Name() string { return "mementos" }
 
+// CopyState implements vm.Runtime: the active slot and the counters;
+// the rest lives in the machine's memory.
+func (b *Mementos) CopyState(src vm.Runtime) bool {
+	s, ok := src.(*Mementos)
+	if !ok || s.img != b.img || s.cfg != b.cfg || b.reg.CopyFrom(s.reg) != nil {
+		return false
+	}
+	b.active = s.active
+	return true
+}
+
 // Stats implements vm.Runtime. The returned map is a defensive snapshot:
 // mutating it cannot corrupt the live counters.
 func (b *Mementos) Stats() map[string]int64 { return b.reg.CounterSnapshot() }

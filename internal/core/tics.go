@@ -212,6 +212,26 @@ func New(img *link.Image, cfg Config) (*TICS, error) {
 	return t, nil
 }
 
+// CopyState implements vm.Runtime: the volatile mirrors, the block
+// dedup set, the fault-injection countdown and the counters. Everything
+// else of TICS's state lives in the machine's memory.
+func (t *TICS) CopyState(src vm.Runtime) bool {
+	s, ok := src.(*TICS)
+	if !ok || s.img != t.img || s.cfg != t.cfg {
+		return false
+	}
+	if err := t.reg.CopyFrom(s.reg); err != nil {
+		return false
+	}
+	t.working, t.active, t.epoch, t.undoLen = s.working, s.active, s.epoch, s.undoLen
+	clear(t.loggedBlocks)
+	for b, v := range s.loggedBlocks {
+		t.loggedBlocks[b] = v
+	}
+	t.skipUndoAt = s.skipUndoAt
+	return true
+}
+
 // SegmentBytes returns the configured working-stack segment size.
 func (t *TICS) SegmentBytes() int { return t.segBytes }
 

@@ -208,8 +208,10 @@ func appendFrame(b []byte, f Frame) []byte {
 	return appendF64(b, f.FreshMs)
 }
 
+// frame decodes one frame. The echo flag must be 0 or 1, so every
+// accepted payload is the one encoding of what it decodes to.
 func (r *binReader) frame() Frame {
-	return Frame{
+	f := Frame{
 		Dev:      int(int32(r.u32())),
 		Seq:      int64(r.u64()),
 		Value:    int32(r.u32()),
@@ -217,9 +219,15 @@ func (r *binReader) frame() Frame {
 		DeviceMs: int64(r.u64()),
 		ArriveMs: r.f64(),
 		Attempt:  int(int32(r.u32())),
-		Echo:     r.u8() != 0,
-		FreshMs:  r.f64(),
 	}
+	switch echo := r.u8(); {
+	case echo == 1:
+		f.Echo = true
+	case echo > 1 && r.err == nil:
+		r.err = fmt.Errorf("gate: frame echo flag %d at offset %d", echo, r.off-1)
+	}
+	f.FreshMs = r.f64()
+	return f
 }
 
 // Batch payload: [source str16][batch u64][count u32][count × frame].
@@ -258,6 +266,10 @@ func decodeBatch(payload []byte) (source string, batch uint64, frames []Frame, e
 // str16, hwm u64)][nbest u32][nbest × frame]. The (device, seq) key of
 // each retained frame rides inside the frame itself.
 
+// minSourceLen is the smallest encoded source entry: an empty name's
+// length prefix plus its high-water mark.
+const minSourceLen = 2 + 8
+
 func encodeSnapshot(arrivals int64, sources map[string]uint64, best []Frame) []byte {
 	b := make([]byte, 0, 8+4+len(sources)*16+4+len(best)*frameLen)
 	b = appendU64(b, uint64(arrivals))
@@ -278,6 +290,9 @@ func decodeSnapshot(payload []byte) (arrivals int64, sources map[string]uint64, 
 	r := &binReader{b: payload}
 	arrivals = int64(r.u64())
 	ns := int(r.u32())
+	if r.err == nil && ns > (len(payload)-r.off)/minSourceLen {
+		return 0, nil, nil, fmt.Errorf("gate: snapshot claims %d sources in %d payload bytes", ns, len(payload))
+	}
 	sources = make(map[string]uint64, ns)
 	for i := 0; i < ns && r.err == nil; i++ {
 		src := r.str16()

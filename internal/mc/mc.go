@@ -73,6 +73,11 @@ type Config struct {
 	CheckEffectLoss bool
 	// Log receives progress lines (nil = silent).
 	Log func(format string, args ...any)
+
+	// checkLevel, when set, sees every depth level's schedules and
+	// outcomes with the runner that produced them (tests compare them
+	// against runs from cycle 0).
+	checkLevel func(r *runner, scheds []schedule, outs []runOutcome, collectGlobals, collectStamps bool)
 }
 
 // Finding is one property violation, pinned to the schedule that
@@ -112,6 +117,10 @@ type Report struct {
 	Oracle         replay.ResultDigest `json:"oracle"`
 	OracleFindings []Finding           `json:"oracle_findings,omitempty"`
 	Findings       []Finding           `json:"findings,omitempty"`
+
+	// executed is the simulated cycles the sweep actually ran: shared
+	// prefixes count once per leader, not once per schedule.
+	executed int64
 }
 
 // Clean reports whether the sweep verified every schedule.
@@ -191,6 +200,7 @@ func Sweep(cfg Config) (*Report, error) {
 		// A program that faults uninterrupted needs no reboot to fail;
 		// the oracle manifest is the counterexample.
 		logf("oracle run faults (%s); skipping the sweep", oracle.digest.Fault)
+		rep.executed = r.executed.Load()
 		return rep, nil
 	}
 	if oracle.digest.Completed {
@@ -204,7 +214,7 @@ func Sweep(cfg Config) (*Report, error) {
 	level := [][]power.SchedWindow{nil} // parents (nil = the oracle)
 	parents := []runOutcome{oracle}
 	for depth := 1; depth <= cfg.Depth; depth++ {
-		var schedules [][]power.SchedWindow
+		var schedules []schedule
 		for pi, parent := range parents {
 			prefix := level[pi]
 			// Later reboots must land after the earlier windows end.
@@ -215,7 +225,7 @@ func Sweep(cfg Config) (*Report, error) {
 			for _, c := range boundariesFrom(parent.stamps, base, parent.cycles) {
 				sched := append(append([]power.SchedWindow{}, prefix...),
 					power.SchedWindow{Cycles: c, OffMs: cfg.OffMs})
-				schedules = append(schedules, sched)
+				schedules = append(schedules, schedule{windows: sched, parent: pi})
 			}
 		}
 		if depth == 1 {
@@ -229,31 +239,78 @@ func Sweep(cfg Config) (*Report, error) {
 		}
 		logf("depth %d: %d schedules", depth, len(schedules))
 
+		// Leader units share each parent's prefix among its children;
+		// every outcome lands at its schedule's index.
 		outcomes := make([]runOutcome, len(schedules))
-		errs := make([]error, len(schedules))
+		units := leaderUnits(schedules, unitsPerWorker*cfg.Workers)
+		errs := make([]error, len(units))
 		collectStamps := depth < cfg.Depth
-		fleet.ParallelFor(len(schedules), cfg.Workers, func(i int) {
-			outcomes[i], errs[i] = r.run(schedules[i], insensitive, collectStamps)
+		fleet.ParallelFor(len(units), cfg.Workers, func(u int) {
+			prefix := level[schedules[units[u][0]].parent]
+			errs[u] = r.runUnit(prefix, units[u], schedules, outcomes, insensitive, collectStamps)
 		})
 		for _, e := range errs {
 			if e != nil {
 				return nil, e
 			}
 		}
+		if cfg.checkLevel != nil {
+			cfg.checkLevel(r, schedules, outcomes, insensitive, collectStamps)
+		}
+		level = level[:0:0]
 		for i, out := range outcomes {
 			rep.Schedules++
 			rep.CyclesExplored += out.cycles
-			powerSpec := (&power.Schedule{Windows: schedules[i]}).Name()
+			windows := schedules[i].windows
+			powerSpec := (&power.Schedule{Windows: windows}).Name()
 			var cycles []int64
-			for _, w := range schedules[i] {
+			for _, w := range windows {
 				cycles = append(cycles, w.Cycles)
 			}
 			rep.Findings = append(rep.Findings, judge(cfg, insensitive, false, out, oracle, powerSpec, cycles)...)
+			level = append(level, windows)
 		}
-		level = schedules
 		parents = outcomes
 	}
+	rep.executed = r.executed.Load()
 	return rep, nil
+}
+
+// schedule is one interrupted run of a depth level: its reboot windows
+// and the index of the parent run (one level up) whose windows it
+// extends by one.
+type schedule struct {
+	windows []power.SchedWindow
+	parent  int
+}
+
+// unitsPerWorker sizes the leader units of a parent: enough that the
+// units balance across workers, few enough that the leader passes (one
+// parent-length run per unit) stay small next to the children.
+const unitsPerWorker = 4
+
+// leaderUnits deals each parent's children (consecutive in scheds, in
+// ascending cut order) round-robin into up to perParent units of at
+// least two children, so every unit spans the parent's whole length; a
+// parent with a single child gets a unit of one.
+func leaderUnits(scheds []schedule, perParent int) [][]int {
+	var out [][]int
+	for lo := 0; lo < len(scheds); {
+		hi := lo
+		for hi < len(scheds) && scheds[hi].parent == scheds[lo].parent {
+			hi++
+		}
+		k := max(1, min(perParent, (hi-lo)/2))
+		for u := 0; u < k; u++ {
+			var kids []int
+			for i := lo + u; i < hi; i += k {
+				kids = append(kids, i)
+			}
+			out = append(out, kids)
+		}
+		lo = hi
+	}
+	return out
 }
 
 // boundariesFrom turns cycle stamps into candidate window lengths

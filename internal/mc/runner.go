@@ -3,6 +3,7 @@ package mc
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	tics "repro"
 	"repro/internal/audit"
@@ -47,6 +48,10 @@ type runner struct {
 
 	mu   sync.Mutex
 	pool []pooled
+
+	// executed counts the simulated cycles actually executed: whole
+	// fresh runs, leader passes, and resumed runs from their pause point.
+	executed atomic.Int64
 }
 
 // pooled is one reusable machine and the recorder attached to it.
@@ -100,54 +105,72 @@ func (r *runner) runOptions(src power.Source, rec *obs.Recorder) (tics.RunOption
 	}, nil
 }
 
-// run executes one schedule (nil = uninterrupted) and gathers the
-// outcome. collectGlobals snapshots the committed global data bytes;
-// collectStamps gathers event+store cycle stamps for deeper enumeration.
-func (r *runner) run(windows []power.SchedWindow, collectGlobals, collectStamps bool) (runOutcome, error) {
-	src := &power.Schedule{Windows: windows}
+// execution is one schedule's run: a pooled machine reset for the
+// schedule, with the auditor, the freshness tracker and (when collected)
+// the stamp collector attached.
+type execution struct {
+	pooled
+	aud     *audit.Auditor
+	tracker *freshTracker
+	stamps  []int64
+}
+
+// start acquires a machine for the schedule windows (nil = uninterrupted)
+// and attaches the observers; collectStamps gathers event+store cycle
+// stamps for deeper enumeration.
+func (r *runner) start(windows []power.SchedWindow, collectStamps bool) (*execution, error) {
 	p := r.acquire()
-	rec := p.rec
-	opts, err := r.runOptions(src, rec)
+	opts, err := r.runOptions(&power.Schedule{Windows: windows}, p.rec)
 	if err != nil {
-		return runOutcome{}, err
+		return nil, err
 	}
-
-	m := p.m
-	if m == nil {
-		m, err = tics.NewMachine(r.img, opts)
+	if p.m == nil {
+		p.m, err = tics.NewMachine(r.img, opts)
 	} else {
-		err = tics.ResetMachine(m, r.img, opts)
+		err = tics.ResetMachine(p.m, r.img, opts)
 	}
 	if err != nil {
-		return runOutcome{}, err
+		return nil, err
 	}
-	defer r.release(pooled{m: m, rec: rec})
-
-	aud, err := audit.Attach(m, audit.Options{})
-	if err != nil {
-		return runOutcome{}, err
+	e := &execution{pooled: p}
+	if e.aud, err = audit.Attach(p.m, audit.Options{}); err != nil {
+		r.release(p)
+		return nil, err
 	}
-	tracker := newFreshTracker(r.prov, r.budgetMs)
-	tracker.attach(m, rec)
-
-	var stamps []int64
+	e.tracker = newFreshTracker(r.prov, r.budgetMs)
+	e.tracker.attach(p.m, p.rec)
 	if collectStamps {
-		rec.AddSink(stampSink{m: m, out: &stamps})
+		m := p.m
+		p.rec.AddSink(stampSink{out: &e.stamps})
 		m.ObserveStores(func(addr uint32, size int, val uint32, deviceMs int64) {
-			stamps = append(stamps, m.Cycles())
+			e.stamps = append(e.stamps, m.Cycles())
 		})
 	}
+	return e, nil
+}
 
-	res, _ := m.Run() // a fault is itself a verdict, not an executor error
+// copyState makes e's machine and observers continue from src's current
+// state (see vm.Machine.CopyState); false when it cannot.
+func (e *execution) copyState(src *execution) bool {
+	if !e.m.CopyState(src.m) || !e.aud.CopyState(src.aud) {
+		return false
+	}
+	e.tracker.copyState(src.tracker)
+	e.stamps = append(e.stamps[:0], src.stamps...)
+	return true
+}
 
+// finish gathers the outcome of e's finished run and returns its machine
+// to the pool. collectGlobals snapshots the committed global data bytes.
+func (r *runner) finish(e *execution, res vm.Result, collectGlobals bool) runOutcome {
 	out := runOutcome{
 		digest:     digestOf(res),
-		violations: aud.Violations(),
-		auditTotal: aud.Total(),
-		stale:      tracker.stale,
+		violations: e.aud.Violations(),
+		auditTotal: e.aud.Total(),
+		stale:      e.tracker.stale,
 		outs:       res.OutLog,
 		marks:      res.MarkCounts,
-		stamps:     stamps,
+		stamps:     e.stamps,
 		cycles:     res.Cycles,
 	}
 	for _, s := range res.SendLog {
@@ -155,9 +178,129 @@ func (r *runner) run(windows []power.SchedWindow, collectGlobals, collectStamps 
 		out.sendVals = append(out.sendVals, s.Value)
 	}
 	if collectGlobals {
-		out.globals = r.committedGlobals(m)
+		out.globals = r.committedGlobals(e.m)
 	}
-	return out, nil
+	r.release(e.pooled)
+	return out
+}
+
+// run executes one schedule (nil = uninterrupted) from cycle 0 and
+// gathers the outcome. It is the reference every resumed run must match.
+func (r *runner) run(windows []power.SchedWindow, collectGlobals, collectStamps bool) (runOutcome, error) {
+	e, err := r.start(windows, collectStamps)
+	if err != nil {
+		return runOutcome{}, err
+	}
+	res, _ := e.m.Run() // a fault is itself a verdict, not an executor error
+	r.executed.Add(res.Cycles)
+	return r.finish(e, res, collectGlobals), nil
+}
+
+// resume executes the schedule windows from the paused leader's current
+// state, which must lie inside windows' last window; it reports false
+// when the state cannot be copied (the runtime cannot copy its state).
+func (r *runner) resume(leader *execution, windows []power.SchedWindow, collectGlobals, collectStamps bool) (runOutcome, bool, error) {
+	e, err := r.start(windows, collectStamps)
+	if err != nil {
+		return runOutcome{}, false, err
+	}
+	if !e.copyState(leader) {
+		r.release(e.pooled)
+		return runOutcome{}, false, nil
+	}
+	res, err := e.m.Resume()
+	if err != nil && res.Fault == nil {
+		r.release(e.pooled)
+		return runOutcome{}, false, err
+	}
+	r.executed.Add(res.Cycles - leader.m.Cycles())
+	return r.finish(e, res, collectGlobals), true, nil
+}
+
+// pauseSlack is how far before a child's reboot cut a leader pauses
+// for it, in cycles spent in the cut window: the first instruction
+// boundary past cut-pauseSlack serves every child whose cut it has not
+// passed. A resumed child re-executes at most pauseSlack cycles the
+// leader already ran; a child whose cut a single step of more than
+// pauseSlack cycles jumps over runs from cycle 0 instead.
+const pauseSlack = 4096
+
+// runUnit executes the schedules kids, children of the parent schedule
+// prefix ordered by their last window's length, into out. A lone child
+// runs from cycle 0. Otherwise a leader re-runs the parent with the same
+// observers: up to the parent's end the children's runs are the
+// parent's run, so at a pause point just before each child's cut the
+// child copies the leader's state onto a pooled machine and resumes
+// inside the cut window, dying at exactly the cycle a run from cycle 0
+// would. The leader stops after its last child. Children the leader
+// could not serve (it ended, faulted, read Remaining, or a step jumped
+// their cut) run from cycle 0.
+func (r *runner) runUnit(prefix []power.SchedWindow, kids []int, scheds []schedule, out []runOutcome, collectGlobals, collectStamps bool) error {
+	if len(kids) == 1 {
+		var err error
+		out[kids[0]], err = r.run(scheds[kids[0]].windows, collectGlobals, collectStamps)
+		return err
+	}
+	leader, err := r.start(prefix, collectStamps)
+	if err != nil {
+		return err
+	}
+	m := leader.m
+	target := len(prefix) // the children's cut window
+	cut := func(k int) int64 { return scheds[kids[k]].windows[target].Cycles }
+	var (
+		next     int   // kids[next:] are not served yet
+		fallback []int // kids to run from cycle 0
+		runErr   error
+		hook     func()
+	)
+	arm := func() {
+		if next == len(kids) {
+			m.Halt()
+			return
+		}
+		idx, spent := m.Window()
+		if idx < target {
+			// Still in a parent window: pause again where it ends.
+			m.PauseAt(m.Cycles()+prefix[idx].Cycles-spent, hook)
+			return
+		}
+		m.PauseAt(m.Cycles()+cut(next)-pauseSlack-spent, hook)
+	}
+	hook = func() {
+		if idx, spent := m.Window(); idx == target {
+			for next < len(kids) && cut(next)-pauseSlack < spent {
+				k := kids[next]
+				if cut(next) < spent {
+					fallback = append(fallback, k) // the last step jumped the cut
+					next++
+					continue
+				}
+				o, ok, err := r.resume(leader, scheds[k].windows, collectGlobals, collectStamps)
+				if err != nil || !ok {
+					runErr = err
+					m.Halt() // no state copy: the rest run from cycle 0
+					return
+				}
+				out[k] = o
+				next++
+			}
+		}
+		arm()
+	}
+	arm()
+	m.Run() // the leader's own verdict is its parent's, judged already
+	r.executed.Add(m.Cycles())
+	r.release(leader.pooled)
+	if runErr != nil {
+		return runErr
+	}
+	for _, k := range append(fallback, kids[next:]...) {
+		if out[k], err = r.run(scheds[k].windows, collectGlobals, collectStamps); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // committedGlobals concatenates the data bytes of every program global
@@ -193,7 +336,6 @@ func digestOf(res vm.Result) replay.ResultDigest {
 
 // stampSink collects the cycle stamp of every emitted event.
 type stampSink struct {
-	m   *vm.Machine
 	out *[]int64
 }
 

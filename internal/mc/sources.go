@@ -228,6 +228,19 @@ func (t *freshTracker) attach(m *vm.Machine, rec *obs.Recorder) {
 	rec.AddSink(t)
 }
 
+// copyState makes t's production maps and stale list equal src's.
+func (t *freshTracker) copyState(src *freshTracker) {
+	clear(t.prod)
+	for k, v := range src.prod {
+		t.prod[k] = v
+	}
+	clear(t.committed)
+	for k, v := range src.committed {
+		t.committed[k] = v
+	}
+	t.stale = append(t.stale[:0], src.stale...)
+}
+
 // OnEvent implements obs.Sink: commits snapshot the production map,
 // restores revert it (the runtime just reverted the values themselves).
 func (t *freshTracker) OnEvent(_ int64, ev obs.Event) {

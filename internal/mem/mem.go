@@ -190,6 +190,24 @@ func (m *Memory) ResetToBase(b *Base) {
 	m.stats = Stats{}
 }
 
+// CopyFrom makes m's contents, regions and stats equal src's. Both must
+// fork the same base: pages src owns are copied into m's private pages,
+// and pages m owns that src shares are refilled from the base (kept
+// private, as ResetToBase keeps them). It returns false, changing
+// nothing, when the two memories do not fork the same base.
+func (m *Memory) CopyFrom(src *Memory) bool {
+	if m.base == nil || m.base != src.base {
+		return false
+	}
+	for d := m.dirty | src.dirty; d != 0; d &= d - 1 {
+		i := bits.TrailingZeros64(d)
+		copy(m.wpage(uint32(i)), src.pages[i])
+	}
+	m.regions = append(m.regions[:0], src.regions...)
+	m.stats = src.stats
+	return true
+}
+
 // PrivatePages returns how many pages the memory owns rather than shares
 // with a base (always NumPages for a flat memory).
 func (m *Memory) PrivatePages() int { return bits.OnesCount64(m.dirty) }

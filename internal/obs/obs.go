@@ -266,6 +266,30 @@ func (r *Recorder) Reset() {
 	r.cpBeginCycles, r.cpBeginMs, r.cpOpen, r.lastFailAt = 0, 0, false, 0
 }
 
+// CopyState makes r's dynamic state — retained events, drop and seq
+// counts, metrics, attribution, fold trie, open-checkpoint and
+// last-failure state — equal src's, keeping r's own sinks and function
+// table. It reports false unless both recorders were built with the same
+// options. A run resumed from a copy of a paused one
+// then records exactly what the paused run would have.
+func (r *Recorder) CopyState(src *Recorder) bool {
+	if len(r.ring) != len(src.ring) || r.keep != src.keep || r.profile != src.profile {
+		return false
+	}
+	if err := r.reg.CopyFrom(src.reg); err != nil {
+		return false
+	}
+	copy(r.ring, src.ring[:src.n]) // the ring fills from 0 and only wraps when full
+	r.head, r.n, r.dropped, r.seq = src.head, src.n, src.dropped, src.seq
+	r.catStack = append(r.catStack[:0], src.catStack...)
+	r.pending, r.byCat = src.pending, src.byCat
+	r.trie.nodes = append(r.trie.nodes[:0], src.trie.nodes...)
+	r.trie.count = append(r.trie.count[:0], src.trie.count...)
+	r.curNode = src.curNode
+	r.cpBeginCycles, r.cpBeginMs, r.cpOpen, r.lastFailAt = src.cpBeginCycles, src.cpBeginMs, src.cpOpen, src.lastFailAt
+	return true
+}
+
 // SetFunctions installs the image's function-name table (index-aligned
 // with the function indices the machine reports). The machine does this
 // when the recorder is attached.

@@ -174,6 +174,14 @@ func (g *Registry) Reset() {
 	}
 }
 
+// CopyFrom makes g's values equal src's: Reset, then Merge. Cached
+// cells stay valid; a name g has and src lacks stays registered at zero.
+// Histograms both registries hold must share their bounds.
+func (g *Registry) CopyFrom(src *Registry) error {
+	g.Reset()
+	return g.Merge(src)
+}
+
 // CounterSnapshot returns a fresh copy of all counters — the
 // vm.Runtime.Stats compatibility shim.
 func (g *Registry) CounterSnapshot() map[string]int64 {

@@ -217,6 +217,17 @@ func New(img *link.Image, cfg Config) (*Runtime, error) {
 // Name implements vm.Runtime.
 func (r *Runtime) Name() string { return r.cfg.Kind.String() }
 
+// CopyState implements vm.Runtime: the current task, the log length
+// and the counters; the rest lives in the machine's memory.
+func (r *Runtime) CopyState(src vm.Runtime) bool {
+	s, ok := src.(*Runtime)
+	if !ok || s.img != r.img || s.cfg.Kind != r.cfg.Kind || r.reg.CopyFrom(s.reg) != nil {
+		return false
+	}
+	r.cur, r.undoLen = s.cur, s.undoLen
+	return true
+}
+
 // Stats implements vm.Runtime. The returned map is a defensive snapshot:
 // mutating it cannot corrupt the live counters.
 func (r *Runtime) Stats() map[string]int64 { return r.reg.CounterSnapshot() }

@@ -23,6 +23,11 @@ type Keeper interface {
 	AdvanceOff(ms float64)
 	// Reset rewinds the keeper to time zero.
 	Reset()
+	// CopyState overwrites the keeper's running estimate (and any error
+	// model state) with src's, reporting false, and changing nothing,
+	// when src is a different kind of keeper. Resuming a run from a copy
+	// of a paused one relies on it.
+	CopyState(src Keeper) bool
 }
 
 // Perfect is an ideal persistent clock (an external RTC with unlimited
@@ -36,6 +41,14 @@ func (p *Perfect) AdvanceOff(ms float64) {
 	p.est += ms
 }
 func (p *Perfect) Reset() { p.est = 0 }
+
+func (p *Perfect) CopyState(src Keeper) bool {
+	s, ok := src.(*Perfect)
+	if ok {
+		p.est = s.est
+	}
+	return ok
+}
 
 // RTC is a capacitor-backed real-time clock with a coarse tick: off-times
 // are measured but quantized to ResolutionMs (e.g. a 1/32768 Hz prescaler
@@ -57,6 +70,14 @@ func (r *RTC) AdvanceOff(ms float64) {
 	r.est += ticks * res
 }
 func (r *RTC) Reset() { r.est = 0 }
+
+func (r *RTC) CopyState(src Keeper) bool {
+	s, ok := src.(*RTC)
+	if ok {
+		r.est = s.est
+	}
+	return ok
+}
 
 // Remanence models a TARDIS/CusTARD-style remanence-decay timer: the
 // off-time estimate carries a bounded multiplicative error that varies
@@ -100,4 +121,12 @@ func (t *Remanence) AdvanceOff(ms float64) {
 func (t *Remanence) Reset() {
 	t.est = 0
 	t.rng = t.Seed | 1
+}
+
+func (t *Remanence) CopyState(src Keeper) bool {
+	s, ok := src.(*Remanence)
+	if ok {
+		t.est, t.rng = s.est, s.rng
+	}
+	return ok
 }

@@ -18,6 +18,12 @@ func NewPlain() *Plain { return &Plain{reg: obs.NewRegistry()} }
 // Name implements Runtime.
 func (p *Plain) Name() string { return "plain" }
 
+// CopyState implements Runtime: the counters are the only state.
+func (p *Plain) CopyState(src Runtime) bool {
+	s, ok := src.(*Plain)
+	return ok && p.reg.CopyFrom(s.reg) == nil
+}
+
 // Boot implements Runtime: every boot — cold or not — starts over at the
 // entry stub with an empty stack.
 func (p *Plain) Boot(m *Machine, cold bool) error {

@@ -99,6 +99,12 @@ type Runtime interface {
 	// returned map must be a defensive copy: callers may mutate it without
 	// corrupting the runtime's live counters.
 	Stats() map[string]int64
+	// CopyState overwrites the runtime's dynamic state (volatile mirrors
+	// and counters; its non-volatile state lives in the machine's memory)
+	// with src's. It reports false, changing nothing, unless src is a
+	// runtime of the same kind built for the same image and configuration.
+	// Machine.CopyState relies on it.
+	CopyState(src Runtime) bool
 }
 
 // powerFailure is the panic sentinel unwinding the current window.
@@ -231,9 +237,17 @@ type Machine struct {
 	failures     int
 	maxCycles    int64
 	maxFailures  int
-	maxWallMs    float64
-	halted       bool
-	timedOut     bool
+	// limit is min(maxCycles, the armed pause point): the run loop's one
+	// per-instruction compare covers both the watchdog and PauseAt.
+	limit       int64
+	onPause     func()
+	windowStart int64 // cycle counter when the current window began
+	// remainingRead: Remaining was called in the current window, so the
+	// run from here on depends on the window's length.
+	remainingRead bool
+	maxWallMs     float64
+	halted        bool
+	timedOut      bool
 
 	// OnStore observes every program-order store (after the runtime's
 	// consistency discipline) with the device clock reading; OnMark
@@ -411,6 +425,7 @@ func (m *Machine) apply(cfg Config) error {
 	m.clock = cfg.Clock
 	m.sensors = cfg.Sensors
 	m.maxCycles = cfg.MaxCycles
+	m.limit, m.onPause = cfg.MaxCycles, nil
 	m.maxFailures = cfg.MaxFailures
 	m.maxWallMs = cfg.MaxWallMs
 	m.virtualizeSends = cfg.VirtualizeSends
@@ -491,7 +506,8 @@ func (m *Machine) Reset(cfg Config) error {
 	m.CpDisable = 0
 	m.ExpiryArmed, m.ExpiryDeadline, m.ExpiryCatchPC = false, 0, 0
 	m.remaining, m.pendingOffMs = 0, 0
-	m.cycles, m.sinceCp = 0, 0
+	m.cycles, m.sinceCp, m.windowStart = 0, 0, 0
+	m.remainingRead = false
 	m.onMs, m.offMs = 0, 0
 	m.failures = 0
 	m.halted, m.timedOut = false, false
@@ -674,8 +690,17 @@ func (m *Machine) TrueNowMs() float64 { return m.onMs + m.offMs }
 func (m *Machine) Cycles() int64 { return m.cycles }
 
 // Remaining returns the cycles left in the current powered window — the
-// "voltage check" proxy used by Mementos-style trigger checkpoints.
-func (m *Machine) Remaining() int64 { return m.remaining }
+// "voltage check" proxy used by Mementos-style trigger checkpoints. A run
+// that reads it depends on the window's length from then on, so PauseAt
+// stops pausing for the rest of the window.
+func (m *Machine) Remaining() int64 {
+	m.remainingRead = true
+	return m.remaining
+}
+
+// Window returns the index of the current powered window (0 for the
+// first, one more per power failure) and the cycles spent in it so far.
+func (m *Machine) Window() (int, int64) { return m.failures, m.cycles - m.windowStart }
 
 // SinceCheckpoint returns cycles executed since the last checkpoint.
 func (m *Machine) SinceCheckpoint() int64 { return m.sinceCp }
@@ -842,8 +867,30 @@ type Result struct {
 func (r Result) WallMs() float64 { return r.OnMs + r.OffMs }
 
 // Run executes the image to completion (Halt), starvation, or fault.
-func (m *Machine) Run() (Result, error) {
-	cold := true
+func (m *Machine) Run() (Result, error) { return m.run(false) }
+
+// Resume continues a machine whose dynamic state CopyState took from a
+// machine paused at an instruction boundary (see PauseAt), inside the
+// window the pause fell in. The machine's own power source, watchdog and
+// wall budget apply: the source is advanced past the windows already
+// consumed, and the current window keeps whatever its length leaves
+// after the cycles already spent in it. A fresh run of the same config
+// that reaches the pause point's state therefore continues exactly as
+// the resumed one does. It is an error for the pause point to lie past
+// the end of its window under this machine's power source.
+func (m *Machine) Resume() (Result, error) {
+	for i := 0; i <= m.failures; i++ {
+		m.remaining, m.pendingOffMs = m.powerSrc.NextWindow()
+	}
+	if m.remaining -= m.cycles - m.windowStart; m.remaining < 0 {
+		return Result{}, errors.New("vm: resume point lies past the end of its window")
+	}
+	return m.run(true)
+}
+
+// run is Run's window loop; resume enters it inside the current window.
+func (m *Machine) run(resume bool) (Result, error) {
+	cold := !resume
 	for !m.halted {
 		if m.timedOut {
 			return m.result(false, false, nil), nil
@@ -851,7 +898,14 @@ func (m *Machine) Run() (Result, error) {
 		if m.failures > m.maxFailures || m.cycles > m.maxCycles {
 			return m.result(false, true, nil), nil
 		}
-		failed, fault := m.runWindow(cold)
+		var failed bool
+		var fault error
+		if resume {
+			failed, fault = m.resumeWindow()
+			resume = false
+		} else {
+			failed, fault = m.runWindow(cold)
+		}
 		cold = false
 		if fault != nil {
 			return m.result(false, false, fault), fault
@@ -885,18 +939,8 @@ func (m *Machine) Run() (Result, error) {
 // fault, or power failure.
 func (m *Machine) runWindow(cold bool) (failed bool, fault error) {
 	m.remaining, m.pendingOffMs = m.powerSrc.NextWindow()
-	defer func() {
-		r := recover()
-		switch r := r.(type) {
-		case nil:
-		case powerFailure:
-			failed = true
-		case machineFault:
-			fault = r.err
-		default:
-			panic(r)
-		}
-	}()
+	m.windowStart, m.remainingRead = m.cycles, false
+	defer m.endWindow(&failed, &fault)
 	if cold {
 		m.EmitEvent(obs.EvBoot, 1, 0)
 	} else {
@@ -908,19 +952,120 @@ func (m *Machine) runWindow(cold bool) (failed bool, fault error) {
 	}
 	m.PopCat()
 	m.resetRecStack()
+	return false, m.loop()
+}
+
+// resumeWindow re-enters the instruction loop at the point a pause left
+// it: after the pause hook, at the wall-budget check.
+func (m *Machine) resumeWindow() (failed bool, fault error) {
+	defer m.endWindow(&failed, &fault)
+	if m.wallElapsed() {
+		return false, nil
+	}
+	return false, m.loop()
+}
+
+// endWindow turns the panic that ended a window into its outcome.
+func (m *Machine) endWindow(failed *bool, fault *error) {
+	switch r := recover().(type) {
+	case nil:
+	case powerFailure:
+		*failed = true
+	case machineFault:
+		*fault = r.err
+	default:
+		panic(r)
+	}
+}
+
+// loop executes instructions until Halt, fault, power failure, the
+// watchdog or the wall budget.
+func (m *Machine) loop() error {
 	for !m.halted {
 		if err := m.step(); err != nil {
-			return false, err
+			return err
 		}
-		if m.cycles > m.maxCycles {
-			return false, nil // watchdog; Run turns this into starvation
+		if m.cycles > m.limit {
+			if m.cycles > m.maxCycles {
+				return nil // watchdog; Run turns this into starvation
+			}
+			m.pause()
 		}
-		if m.maxWallMs > 0 && m.TrueNowMs() >= m.maxWallMs {
-			m.timedOut = true
-			return false, nil
+		if m.wallElapsed() {
+			return nil
 		}
 	}
-	return false, nil
+	return nil
+}
+
+// wallElapsed ends the run once true time reaches the wall budget.
+func (m *Machine) wallElapsed() bool {
+	if m.maxWallMs > 0 && m.TrueNowMs() >= m.maxWallMs {
+		m.timedOut = true
+		return true
+	}
+	return false
+}
+
+// PauseAt arranges for fn to run once, at the first instruction boundary
+// at which the cycle counter exceeds at: after the instruction, its
+// runtime work and any checkpoint, expiry or interrupt it triggered, and
+// before the wall-budget check. fn may call CopyState on another machine
+// (which can then Resume from here) and PauseAt again to arm the next
+// pause. A pause never fires past the watchdog, on a halted machine, or
+// once the current window has read Remaining — from then on the run
+// depends on the window's length, so a copy would not match a run cut
+// short by a shorter window. Reset disarms it.
+func (m *Machine) PauseAt(at int64, fn func()) {
+	m.onPause = fn
+	m.limit = min(m.maxCycles, at)
+}
+
+// pause is the loop's slow path once the cycle counter passes an armed
+// pause point: it disarms, then runs the hook if the pause is valid.
+func (m *Machine) pause() {
+	fn := m.onPause
+	m.onPause, m.limit = nil, m.maxCycles
+	if fn != nil && !m.remainingRead && !m.halted {
+		fn()
+	}
+}
+
+// CopyState makes m's dynamic state — registers, memory, counters,
+// clocks, logs, interrupt and expiry state, the runtime's state and the
+// attached recorder's — equal src's, keeping m's own configuration
+// (power source, watchdog, wall budget, hooks, pause arm). Both machines
+// must fork the same Prepared image with runtimes of the same kind and
+// configuration, clocks of the same kind, and recorders (or none) built
+// with the same options. It reports false when they do not; m must then
+// be Reset before reuse.
+func (m *Machine) CopyState(src *Machine) bool {
+	if m.prepared == nil || m.prepared != src.prepared || (m.rec == nil) != (src.rec == nil) {
+		return false
+	}
+	if !m.rt.CopyState(src.rt) || !m.clock.CopyState(src.clock) || !m.Mem.CopyFrom(src.Mem) {
+		return false
+	}
+	if m.rec != nil && !m.rec.CopyState(src.rec) {
+		return false
+	}
+	m.Regs, m.CpDisable = src.Regs, src.CpDisable
+	m.ExpiryArmed, m.ExpiryDeadline, m.ExpiryCatchPC = src.ExpiryArmed, src.ExpiryDeadline, src.ExpiryCatchPC
+	m.cycles, m.sinceCp, m.windowStart = src.cycles, src.sinceCp, src.windowStart
+	m.remainingRead = src.remainingRead
+	m.onMs, m.offMs, m.failures = src.onMs, src.offMs, src.failures
+	m.halted, m.timedOut = src.halted, src.timedOut
+	m.nextIrqMs, m.inISR, m.isrRetPC, m.isrRetSP = src.nextIrqMs, src.inISR, src.isrRetPC, src.isrRetSP
+	m.cpCounts, m.restores, m.irqCount = src.cpCounts, src.restores, src.irqCount
+	m.SendLog = append([]SendRec(nil), src.SendLog...)
+	m.sendPending = append(m.sendPending[:0], src.sendPending...)
+	m.sendSeq, m.sendSeqCommitted = src.sendSeq, src.sendSeqCommitted
+	m.OutLog = make(map[int32][]int32, len(src.OutLog))
+	for ch, vals := range src.OutLog {
+		m.OutLog[ch] = append([]int32(nil), vals...)
+	}
+	m.outPending = append(m.outPending[:0], src.outPending...)
+	return true
 }
 
 func (m *Machine) step() error {
