@@ -8,6 +8,7 @@ package tics_test
 
 import (
 	"fmt"
+	"os"
 	goruntime "runtime"
 	"testing"
 	"time"
@@ -139,8 +140,9 @@ func BenchmarkFig10Study(b *testing.B) {
 // second. On a multi-core host the workers=4 run should beat workers=1
 // by >2× on the 64-device fleet; on a single-core host the pool
 // degrades to ~1× (the JSON records the CPU count so the two are not
-// confused). The n=64 results are written to BENCH_fleet.json — the CI
-// smoke step emits it with `-bench FleetThroughput -benchtime 1x`.
+// confused). The n=64 results go to the TICS_BENCH_LEDGER ledger (see
+// updateLedger) — the CI smoke step emits it with `-bench FleetThroughput
+// -benchtime 1x`.
 func BenchmarkFleetThroughput(b *testing.B) {
 	byWorkers := map[int]map[string]float64{}
 	for _, n := range []int{16, 64} {
@@ -256,8 +258,21 @@ func BenchmarkFleetThroughput(b *testing.B) {
 				off["devices_per_sec"],
 		}
 	}
-	err := bench.Update("BENCH_fleet.json", func(f *bench.File) error {
-		f.SetFleet(bench.FleetKey(64), entry)
+	updateLedger(b, func(f *bench.File) { f.SetFleet(bench.FleetKey(64), entry) })
+}
+
+// updateLedger merges a benchmark's rows into the ledger file named by
+// the TICS_BENCH_LEDGER environment variable, and does nothing when it
+// is unset: running a benchmark never rewrites the committed
+// BENCH_fleet.json unless asked to with
+// TICS_BENCH_LEDGER=BENCH_fleet.json.
+func updateLedger(b *testing.B, set func(*bench.File)) {
+	path := os.Getenv("TICS_BENCH_LEDGER")
+	if path == "" {
+		return
+	}
+	err := bench.Update(path, func(f *bench.File) error {
+		set(f)
 		return nil
 	})
 	if err != nil {
@@ -635,8 +650,8 @@ func BenchmarkTraceOverhead(b *testing.B) {
 // interrupted schedules verified per wall second and simulated machine
 // states (cycles) explored per second, at depth 1 (every single reboot
 // point) and depth 2 (every reboot pair, stride-capped). The numbers are
-// merged into BENCH_fleet.json's mc table so `-compare` can gate checker
-// regressions like any other ledger row.
+// merged into the ledger's mc table (see updateLedger) so `-compare` can
+// gate checker regressions like any other ledger row.
 func BenchmarkResetPointSweep(b *testing.B) {
 	for _, depth := range []int{1, 2} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
@@ -669,13 +684,7 @@ func BenchmarkResetPointSweep(b *testing.B) {
 				SchedulesPerSec: schedPerSec,
 				StatesPerSec:    statesPerSec,
 			}
-			err := bench.Update("BENCH_fleet.json", func(f *bench.File) error {
-				f.SetMC(bench.MCKey(depth), entry)
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
+			updateLedger(b, func(f *bench.File) { f.SetMC(bench.MCKey(depth), entry) })
 		})
 	}
 }

@@ -1,9 +1,10 @@
 // BenchmarkGateIngest prices the ticsgate durable-ingest path: frames
 // per second through the fsync-on-batch WAL, WAL bytes per frame, and
 // how long a cold Open (recovery replay) of the produced log takes. The
-// results ride in BENCH_fleet.json under "gate" (merge-by-key, same
-// ledger as the fleet sweep) so `ticsbench -compare` and the validator
-// gate gateway-service regressions alongside fleet throughput.
+// results ride in the TICS_BENCH_LEDGER ledger (see updateLedger) under
+// "gate" (merge-by-key, same ledger as the fleet sweep) so `ticsbench
+// -compare` and the validator gate gateway-service regressions alongside
+// fleet throughput.
 package tics_test
 
 import (
@@ -83,13 +84,9 @@ func BenchmarkGateIngest(b *testing.B) {
 	if len(results) != len(gateBatchSizes) {
 		return // sub-benchmark filter excluded some sizes; don't write a partial table
 	}
-	err := bench.Update("BENCH_fleet.json", func(f *bench.File) error {
+	updateLedger(b, func(f *bench.File) {
 		for key, e := range results {
 			f.SetGate(key, e)
 		}
-		return nil
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
 }

@@ -67,9 +67,23 @@ func (c *Client) httpClient() *http.Client {
 	return &http.Client{Timeout: DefaultRequestTimeout}
 }
 
-// IngestWave ships one wave of arrivals as the next batch. Called from
-// fleet.Run's serial per-wave merge, in wave order.
+// IngestWave ships one wave of arrivals as the next batch — or, for a
+// wave of more than MaxIngestFrames arrivals, as the next few batches.
+// Called from fleet.Run's serial per-wave merge, in wave order.
 func (c *Client) IngestWave(arrivals []fleet.Arrival) error {
+	for {
+		n := min(len(arrivals), MaxIngestFrames)
+		if err := c.ingestBatch(arrivals[:n]); err != nil {
+			return err
+		}
+		if arrivals = arrivals[n:]; len(arrivals) == 0 {
+			return nil
+		}
+	}
+}
+
+// ingestBatch ships arrivals (at most MaxIngestFrames) as the next batch.
+func (c *Client) ingestBatch(arrivals []fleet.Arrival) error {
 	c.batch++
 	frames := make([]Frame, len(arrivals))
 	for i, a := range arrivals {

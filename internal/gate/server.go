@@ -14,7 +14,8 @@ import (
 // Server fronts a Store with the ticsgate HTTP surface:
 //
 //	POST /v1/ingest   one batch of frames; 200 with {"applied":...}
-//	                  after the WAL fsync, 409 on a batch-sequence gap
+//	                  after the WAL fsync, 409 on a batch-sequence gap,
+//	                  413 over MaxIngestBodyBytes or MaxIngestFrames
 //	GET  /v1/digest   durable accounting: digest, stats, quantiles
 //	GET  /healthz     liveness plus recovery info
 //	GET  /metrics     Prometheus text format (obs registry + gauges)
@@ -36,12 +37,28 @@ type Server struct {
 
 	reg     *obs.Registry
 	applied int64
+
+	// maxBody and maxFrames bound one ingest request; NewServer sets
+	// them to MaxIngestBodyBytes and MaxIngestFrames.
+	maxBody   int64
+	maxFrames int
 }
+
+// Ingest bounds. A request body over MaxIngestBodyBytes, or a batch of
+// more than MaxIngestFrames frames, is refused with 413 before it
+// reaches the store, so no request can make the gateway decode an
+// unbounded body. A frame's JSON is at most about 250 bytes, so a full
+// batch fits the body limit with room to spare; Client.IngestWave splits
+// larger waves into several batches.
+const (
+	MaxIngestBodyBytes = 64 << 20
+	MaxIngestFrames    = 1 << 17
+)
 
 // NewServer wraps an opened store.
 func NewServer(st *Store) *Server {
 	reg := obs.NewRegistry()
-	return &Server{st: st, reg: reg}
+	return &Server{st: st, reg: reg, maxBody: MaxIngestBodyBytes, maxFrames: MaxIngestFrames}
 }
 
 // IngestRequest is the POST /v1/ingest body.
@@ -70,10 +87,22 @@ func (s *Server) Handler() http.Handler {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	var req IngestRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		s.countError()
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("ingest body over %d bytes", s.maxBody), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "bad ingest body: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	if len(req.Frames) > s.maxFrames {
+		s.countError()
+		http.Error(w, fmt.Sprintf("ingest batch of %d frames over the %d-frame limit", len(req.Frames), s.maxFrames),
+			http.StatusRequestEntityTooLarge)
 		return
 	}
 	s.mu.Lock()

@@ -140,3 +140,55 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 		t.Fatal("batch gap did not surface")
 	}
 }
+
+// TestServerIngestLimits: a body over the byte limit and a batch over
+// the frame limit are both refused with 413, counted as ingest errors,
+// and leave the store untouched.
+func TestServerIngestLimits(t *testing.T) {
+	st := openStore(t, t.TempDir(), Options{})
+	defer st.Close()
+	srv := NewServer(st)
+	srv.maxBody, srv.maxFrames = 512, 3
+	h := srv.Handler()
+
+	big := IngestRequest{Source: "s", Batch: 1, Frames: make([]Frame, 4)}
+	if w := postIngest(t, h, big); w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("4 frames over a 3-frame limit: %d %s", w.Code, w.Body)
+	}
+	w := httptest.NewRecorder()
+	body := `{"source":"s","batch":1,"frames":[]` + strings.Repeat(" ", 600) + "}"
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(body)))
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte body over a 512-byte limit: %d %s", len(body), w.Code, w.Body)
+	}
+	if got := srv.reg.Counter("gate_ingest_errors"); got != 2 {
+		t.Fatalf("gate_ingest_errors = %d, want 2", got)
+	}
+	if st.SourceHWM("s") != 0 {
+		t.Fatal("a refused batch reached the store")
+	}
+	// At the limits the batch applies.
+	if w := postIngest(t, h, IngestRequest{Source: "s", Batch: 1, Frames: make([]Frame, 3)}); w.Code != http.StatusOK {
+		t.Fatalf("3 frames at a 3-frame limit: %d %s", w.Code, w.Body)
+	}
+}
+
+// TestClientSplitsOversizeWaves: a wave of more than MaxIngestFrames
+// arrivals goes out as several batches, all applied.
+func TestClientSplitsOversizeWaves(t *testing.T) {
+	st := openStore(t, t.TempDir(), Options{})
+	defer st.Close()
+	ts := httptest.NewServer(NewServer(st).Handler())
+	defer ts.Close()
+	c := NewClient(ts.URL, 0)
+	wave := make([]fleet.Arrival, MaxIngestFrames+5)
+	for i := range wave {
+		wave[i].Dev, wave[i].Seq = i%7, int64(i)
+	}
+	if err := c.IngestWave(wave); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.SourceHWM(c.source()); got != 2 {
+		t.Fatalf("source high-water mark %d after an oversize wave, want 2 batches", got)
+	}
+}

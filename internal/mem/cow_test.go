@@ -271,3 +271,112 @@ func TestResetToBase(t *testing.T) {
 		t.Fatalf("flat rebind kept %d private pages", got)
 	}
 }
+
+// TestViewAliasesMemory pins the ownership contract of View on a fork:
+// bytes written through the view are what ReadWord, Snapshot, CopyFrom
+// and Restore see, Memory writes show through the view, and the view
+// survives ResetToBase with the same base and CopyFrom — each of which
+// refills the view's pages in place — while the stats count exactly
+// what NoteRead and NoteWrite report.
+func TestViewAliasesMemory(t *testing.T) {
+	b := seededBase(t, 7)
+	const lo, hi = 0x7f02, 0x87fe // ragged ends over three pages
+	m := mem.Fork(b)
+	v := m.View(lo, hi)
+	if len(v) != hi-lo {
+		t.Fatalf("view of %d bytes, want %d", len(v), hi-lo)
+	}
+	if got := m.PrivatePages(); got != 3 {
+		t.Fatalf("%d private pages after a three-page view", got)
+	}
+	fresh := mem.Fork(b)
+	if !bytes.Equal(v, fresh.ReadBytes(lo, hi-lo)) {
+		t.Fatal("a fresh view does not hold the base's bytes")
+	}
+
+	// View → Memory, across a page boundary.
+	at := uint32(0x8000 - 2)
+	copy(v[at-lo:], []byte{1, 2, 3, 4})
+	m.NoteWrite(4)
+	if got := m.ReadWord(at); got != 0x04030201 {
+		t.Fatalf("ReadWord after a view write: %#x", got)
+	}
+	if snap := m.Snapshot(); !bytes.Equal(snap[at:at+4], []byte{1, 2, 3, 4}) {
+		t.Fatal("Snapshot misses a view write")
+	}
+	// Memory → View.
+	m.WriteWord(0x8400, 0xdeadbeef)
+	if v[0x8400-lo] != 0xef || v[0x8403-lo] != 0xde {
+		t.Fatal("a Memory write is not seen through the view")
+	}
+	if st := m.Stats(); st != (mem.Stats{Reads: 1, Writes: 2, ReadBytes: 4, WriteBytes: 8}) {
+		t.Fatalf("stats %+v", st)
+	}
+	m.NoteRead(4)
+	if st := m.Stats(); st.Reads != 2 || st.ReadBytes != 8 {
+		t.Fatalf("NoteRead not counted: %+v", st)
+	}
+
+	// CopyFrom into another fork sees the view's bytes; CopyFrom back
+	// into m refills the view in place.
+	other := mem.Fork(b)
+	if !other.CopyFrom(m) || other.ReadWord(at) != 0x04030201 {
+		t.Fatal("CopyFrom misses a view write")
+	}
+	other.WriteWord(0x8100, 0x01020304)
+	if !m.CopyFrom(other) || v[0x8100-lo] != 0x04 {
+		t.Fatal("CopyFrom does not refill the view")
+	}
+
+	// Restore writes through the view.
+	snap := m.Snapshot()
+	snap[0x7f10] = 0x5a
+	m.Restore(snap)
+	if v[0x7f10-lo] != 0x5a {
+		t.Fatal("Restore does not write through the view")
+	}
+
+	// ResetToBase with the same base keeps the view and refills it.
+	m.ResetToBase(b)
+	if !bytes.Equal(v, fresh.ReadBytes(lo, hi-lo)) {
+		t.Fatal("ResetToBase does not refill the view from the base")
+	}
+	if st := m.Stats(); st != (mem.Stats{}) {
+		t.Fatalf("stats after ResetToBase: %+v", st)
+	}
+	if m.PrivatePages() != 3 {
+		t.Fatalf("ResetToBase released view pages: %d private", m.PrivatePages())
+	}
+	v[0x8200-lo] = 0x77
+	if m.ReadByteAt(0x8200) != 0x77 {
+		t.Fatal("the view is detached after ResetToBase")
+	}
+}
+
+// TestViewOnFlatMemory checks View on a flat memory, whose pages are
+// already private, and that an empty or out-of-range view panics.
+func TestViewOnFlatMemory(t *testing.T) {
+	m := mem.New()
+	m.WriteWord(0x100, 0xa1b2c3d4)
+	v := m.View(0x100, 0x104)
+	if v[0] != 0xd4 || v[3] != 0xa1 {
+		t.Fatal("the view does not hold the memory's bytes")
+	}
+	v[1] = 0
+	if m.ReadWord(0x100) != 0xa1b200d4 {
+		t.Fatal("a view write is not seen by ReadWord")
+	}
+	if m.PrivatePages() != mem.NumPages {
+		t.Fatalf("flat memory owns %d pages", m.PrivatePages())
+	}
+	for _, r := range [][2]uint32{{0x10, 0x10}, {0x20, 0x10}, {mem.Size - 4, mem.Size + 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("View(%#x, %#x) did not panic", r[0], r[1])
+				}
+			}()
+			m.View(r[0], r[1])
+		}()
+	}
+}

@@ -172,7 +172,9 @@ func Fork(b *Base) *Memory {
 // stats, as if freshly forked. When the memory already forks from b, its
 // private pages are refilled from the snapshot rather than released: a
 // pooled device re-running the same image dirties the same pages, so
-// keeping them avoids reallocating on every reuse.
+// keeping them avoids reallocating on every reuse, and a View stays
+// valid. Rebinding to a different base releases every page, Views
+// included.
 func (m *Memory) ResetToBase(b *Base) {
 	if m.base == b && b != nil {
 		for d := m.dirty; d != 0; d &= d - 1 {
@@ -211,6 +213,44 @@ func (m *Memory) CopyFrom(src *Memory) bool {
 // PrivatePages returns how many pages the memory owns rather than shares
 // with a base (always NumPages for a flat memory).
 func (m *Memory) PrivatePages() int { return bits.OnesCount64(m.dirty) }
+
+// View returns direct access to the bytes of [lo, hi): the pages covering
+// the range are materialized as one contiguous private block, the page
+// table points into it, and the result is the block's [lo, hi) slice.
+// Ownership is what makes this safe: a private page is never replaced,
+// only written in place (ResetToBase with the same base, CopyFrom and
+// Restore all refill it), so the view and every Memory access see the
+// same bytes for as long as the memory keeps its base. Access through the
+// view bypasses the statistics; callers count it with NoteRead and
+// NoteWrite. It panics when the range is empty or leaves the address
+// space.
+func (m *Memory) View(lo, hi uint32) []byte {
+	if hi <= lo || hi > Size {
+		panic(fmt.Sprintf("mem: view [%#x,%#x) out of range", lo, hi))
+	}
+	first, last := lo>>PageShift, (hi-1)>>PageShift
+	block := make([]byte, (last-first+1)*PageSize)
+	for pg := first; pg <= last; pg++ {
+		p := block[(pg-first)*PageSize : (pg-first+1)*PageSize : (pg-first+1)*PageSize]
+		copy(p, m.pages[pg])
+		m.pages[pg] = p
+		m.dirty |= 1 << pg
+	}
+	start := first << PageShift
+	return block[lo-start : hi-start : hi-start]
+}
+
+// NoteRead counts a read of n bytes made through a View.
+func (m *Memory) NoteRead(n uint64) {
+	m.stats.Reads++
+	m.stats.ReadBytes += n
+}
+
+// NoteWrite counts a write of n bytes made through a View.
+func (m *Memory) NoteWrite(n uint64) {
+	m.stats.Writes++
+	m.stats.WriteBytes += n
+}
 
 // wpage returns page pg as a writable slice, materializing a private copy
 // of a shared page first.

@@ -5,8 +5,11 @@
 // keeper makes while the device is off is the interesting property, and
 // it is pluggable here.
 //
-// The VM advances the keeper with the true elapsed on-time and off-time;
-// the keeper answers Now() with its *estimate* of elapsed milliseconds.
+// Powered time is always accurate (the MCU's own timer runs while
+// powered), so the VM adds each instruction's on-time straight into the
+// keeper's running estimate; the keeper models only off-time, which the
+// VM reports with the outage's true length. Now() answers with the
+// keeper's *estimate* of elapsed milliseconds.
 package timekeeper
 
 // Keeper is a persistent clock.
@@ -15,9 +18,10 @@ type Keeper interface {
 	Name() string
 	// Now returns the keeper's current estimate of elapsed time in ms.
 	Now() int64
-	// AdvanceOn accounts for ms of powered execution (always accurate:
-	// the MCU's own timer runs while powered).
-	AdvanceOn(ms float64)
+	// Estimate returns the keeper's running estimate of elapsed ms. The
+	// machine takes it once per run and adds every powered millisecond
+	// into it; the pointer stays valid across Reset and CopyState.
+	Estimate() *float64
 	// AdvanceOff accounts for a power outage of truly ms milliseconds; the
 	// keeper may estimate it with error.
 	AdvanceOff(ms float64)
@@ -34,13 +38,11 @@ type Keeper interface {
 // backup). It is the oracle against which error models are compared.
 type Perfect struct{ est float64 }
 
-func (p *Perfect) Name() string         { return "perfect" }
-func (p *Perfect) Now() int64           { return int64(p.est) }
-func (p *Perfect) AdvanceOn(ms float64) { p.est += ms }
-func (p *Perfect) AdvanceOff(ms float64) {
-	p.est += ms
-}
-func (p *Perfect) Reset() { p.est = 0 }
+func (p *Perfect) Name() string          { return "perfect" }
+func (p *Perfect) Now() int64            { return int64(p.est) }
+func (p *Perfect) Estimate() *float64    { return &p.est }
+func (p *Perfect) AdvanceOff(ms float64) { p.est += ms }
+func (p *Perfect) Reset()                { p.est = 0 }
 
 func (p *Perfect) CopyState(src Keeper) bool {
 	s, ok := src.(*Perfect)
@@ -58,9 +60,9 @@ type RTC struct {
 	est          float64
 }
 
-func (r *RTC) Name() string         { return "rtc" }
-func (r *RTC) Now() int64           { return int64(r.est) }
-func (r *RTC) AdvanceOn(ms float64) { r.est += ms }
+func (r *RTC) Name() string       { return "rtc" }
+func (r *RTC) Now() int64         { return int64(r.est) }
+func (r *RTC) Estimate() *float64 { return &r.est }
 func (r *RTC) AdvanceOff(ms float64) {
 	res := r.ResolutionMs
 	if res <= 0 {
@@ -98,9 +100,9 @@ func NewRemanence(errFrac, maxOffMs float64, seed uint64) *Remanence {
 	return &Remanence{ErrFrac: errFrac, MaxOffMs: maxOffMs, Seed: seed, rng: seed | 1}
 }
 
-func (t *Remanence) Name() string         { return "remanence" }
-func (t *Remanence) Now() int64           { return int64(t.est) }
-func (t *Remanence) AdvanceOn(ms float64) { t.est += ms }
+func (t *Remanence) Name() string       { return "remanence" }
+func (t *Remanence) Now() int64         { return int64(t.est) }
+func (t *Remanence) Estimate() *float64 { return &t.est }
 
 func (t *Remanence) AdvanceOff(ms float64) {
 	t.rng ^= t.rng << 13

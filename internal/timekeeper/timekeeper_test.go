@@ -10,7 +10,7 @@ import (
 
 func TestPerfect(t *testing.T) {
 	k := &timekeeper.Perfect{}
-	k.AdvanceOn(10.5)
+	*k.Estimate() += 10.5 // powered time, as the machine adds it
 	k.AdvanceOff(100)
 	if k.Now() != 110 {
 		t.Fatalf("perfect: %d", k.Now())
@@ -24,7 +24,7 @@ func TestPerfect(t *testing.T) {
 func TestRTCQuantizes(t *testing.T) {
 	k := &timekeeper.RTC{ResolutionMs: 10}
 	k.AdvanceOff(25) // quantized to 20
-	k.AdvanceOn(5)
+	*k.Estimate() += 5
 	if k.Now() != 25 {
 		t.Fatalf("rtc: %d", k.Now())
 	}
@@ -51,6 +51,37 @@ func TestRemanenceSaturates(t *testing.T) {
 	k.AdvanceOff(50_000) // far past the decay horizon
 	if got := float64(k.Now()); math.Abs(got-1000) > 1 {
 		t.Fatalf("saturation: estimated %f for a 50 s outage", got)
+	}
+}
+
+// TestEstimateSurvivesResetAndCopy: the machine takes Estimate once per
+// run, so the pointer must keep addressing the live estimate after Reset
+// and CopyState, for every keeper.
+func TestEstimateSurvivesResetAndCopy(t *testing.T) {
+	for _, mk := range []func() timekeeper.Keeper{
+		func() timekeeper.Keeper { return &timekeeper.Perfect{} },
+		func() timekeeper.Keeper { return &timekeeper.RTC{ResolutionMs: 10} },
+		func() timekeeper.Keeper { return timekeeper.NewRemanence(0.1, 5000, 3) },
+	} {
+		k, src := mk(), mk()
+		est := k.Estimate()
+		*est += 7.5
+		if k.Now() != 7 {
+			t.Fatalf("%s: on-time through Estimate: %d", k.Name(), k.Now())
+		}
+		k.Reset()
+		*est += 3
+		if k.Now() != 3 {
+			t.Fatalf("%s: after Reset: %d", k.Name(), k.Now())
+		}
+		*src.Estimate() += 42
+		if !k.CopyState(src) {
+			t.Fatalf("%s: CopyState from its own kind failed", k.Name())
+		}
+		*est += 1
+		if k.Now() != 43 || src.Now() != 42 {
+			t.Fatalf("%s: after CopyState: %d (src %d)", k.Name(), k.Now(), src.Now())
+		}
 	}
 }
 

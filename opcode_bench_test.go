@@ -1,11 +1,11 @@
 // BenchmarkOpcodeDispatch prices the VM's per-opcode dispatch on the
 // host: hand-assembled loops dominated by one opcode class, run on the
 // plain runtime under continuous power, reported as ns per dispatched
-// instruction. The results ride in BENCH_fleet.json under "opcodes"
-// (merge-by-key, same ledger as the fleet sweep) so `ticsbench
-// -compare` gates interpreter-loop regressions alongside fleet
-// throughput — the baseline ROADMAP's dispatch-optimization item
-// measures against.
+// instruction. The results ride in the TICS_BENCH_LEDGER ledger (see
+// updateLedger) under "opcodes" (merge-by-key, same ledger as the fleet
+// sweep) so `ticsbench -compare` gates interpreter-loop regressions
+// alongside fleet throughput — the baseline ROADMAP's
+// dispatch-optimization item measures against.
 package tics_test
 
 import (
@@ -155,13 +155,9 @@ func BenchmarkOpcodeDispatch(b *testing.B) {
 	if len(results) != len(opcodeUnits) {
 		return // sub-benchmark filter excluded some units; don't write a partial table
 	}
-	err := bench.Update("BENCH_fleet.json", func(f *bench.File) error {
+	updateLedger(b, func(f *bench.File) {
 		for name, e := range results {
 			f.SetOpcode(name, e)
 		}
-		return nil
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
 }
